@@ -4,6 +4,10 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# The bench smoke runs (--quick) write their reports here, never over the
+# committed full-run BENCH_*.json at the repository root.
+QUICK=target/bench-quick
+
 echo "== fmt =="
 cargo fmt --all -- --check
 
@@ -25,9 +29,9 @@ cargo test --release -q --test batch_parity
 echo "== batch throughput smoke + BENCH_batch.json schema =="
 cargo run -p fpp-bench --release --bin throughput -- --quick
 for key in bench schema_version threads element_count workloads floats_per_sec \
-           mb_per_sec memo_hit_rate summary scalar_floats_per_sec \
+           mb_per_sec summary scalar_floats_per_sec \
            sharded_floats_per_sec sharded_vs_scalar parity_checked; do
-  grep -q "\"$key\"" BENCH_batch.json \
+  grep -q "\"$key\"" "$QUICK/BENCH_batch.json" \
     || { echo "BENCH_batch.json missing key: $key"; exit 1; }
 done
 
@@ -43,10 +47,10 @@ cargo run -p fpp-bench --release --bin fastpath -- --quick
 for key in bench schema_version quick element_count workloads accept_rate \
            exact_floats_per_sec fast_floats_per_sec speedup summary \
            parity_checked; do
-  grep -q "\"$key\"" BENCH_fastpath.json \
+  grep -q "\"$key\"" "$QUICK/BENCH_fastpath.json" \
     || { echo "BENCH_fastpath.json missing key: $key"; exit 1; }
 done
-grep -q '"parity_checked": true' BENCH_fastpath.json \
+grep -q '"parity_checked": true' "$QUICK/BENCH_fastpath.json" \
   || { echo "fast-path parity audit did not run"; exit 1; }
 
 echo "== reader: parse parity + round-trip batteries (release) =="
@@ -63,10 +67,10 @@ cargo run -p fpp-bench --release --bin roundtrip -- --quick
 for key in bench schema_version quick element_count workloads accept_rate \
            exact_floats_per_sec fast_floats_per_sec speedup \
            roundtrip_floats_per_sec roundtrip_ok summary parity_checked; do
-  grep -q "\"$key\"" BENCH_reader.json \
+  grep -q "\"$key\"" "$QUICK/BENCH_reader.json" \
     || { echo "BENCH_reader.json missing key: $key"; exit 1; }
 done
-grep -q '"roundtrip_ok": true' BENCH_reader.json \
+grep -q '"roundtrip_ok": true' "$QUICK/BENCH_reader.json" \
   || { echo "round-trip bit audit did not pass"; exit 1; }
 
 echo "== telemetry build + tests (--features telemetry) =="
@@ -87,12 +91,12 @@ echo "== live stats smoke + BENCH_telemetry.json schema =="
 cargo run -p fpp-bench --release --features telemetry --bin stats_live -- --quick
 for key in bench schema_version quick telemetry_enabled threads element_count \
            distinct_values digit_len_hist digit_len_offline histogram_match \
-           mean_digits fixup_rate scale_violations term memo fastpath scratch \
+           mean_digits fixup_rate scale_violations term fastpath scratch \
            sharded; do
-  grep -q "\"$key\"" BENCH_telemetry.json \
+  grep -q "\"$key\"" "$QUICK/BENCH_telemetry.json" \
     || { echo "BENCH_telemetry.json missing key: $key"; exit 1; }
 done
-grep -q '"histogram_match": true' BENCH_telemetry.json \
+grep -q '"histogram_match": true' "$QUICK/BENCH_telemetry.json" \
   || { echo "live digit histogram diverged from offline recount"; exit 1; }
 
 echo "CI OK"

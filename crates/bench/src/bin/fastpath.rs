@@ -20,7 +20,8 @@
 //! byte-for-byte parity audit of the default (fast-enabled) formatter
 //! against a `.fast_path(false)` exact formatter over *every* value, and
 //! best-of-`reps` timed passes of both through a reused [`SliceSink`].
-//! Results land in `BENCH_fastpath.json` (schema validated by `ci.sh`).
+//! Results land in `BENCH_fastpath.json` (schema validated by `ci.sh`;
+//! `--quick` writes `target/bench-quick/BENCH_fastpath.json` instead).
 
 use fpp_bench::workloads::{schryer_column, uniform_column};
 use fpp_core::{DtoaContext, FreeFormat, SliceSink};
@@ -147,6 +148,7 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"fastpath\",\n  \"schema_version\": 1,\n  \"quick\": {quick},\n  \"element_count\": {n},\n  \"workloads\": [\n{workload_json}\n  ],\n  \"summary\": {{\n    \"workload\": \"uniform\",\n    \"accept_rate\": {accept_rate:.6},\n    \"exact_floats_per_sec\": {exact_fps:.0},\n    \"fast_floats_per_sec\": {fast_fps:.0},\n    \"speedup\": {speedup:.3},\n    \"parity_checked\": true\n  }}\n}}\n"
     );
-    std::fs::write("BENCH_fastpath.json", json).expect("write BENCH_fastpath.json");
-    println!("wrote BENCH_fastpath.json");
+    let path = fpp_bench::report_path("BENCH_fastpath.json", quick);
+    std::fs::write(&path, json).expect("write BENCH_fastpath.json");
+    println!("wrote {}", path.display());
 }

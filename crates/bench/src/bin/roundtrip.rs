@@ -21,9 +21,11 @@
 //! through [`fpp_reader::read_f64_fast`]; a bit-level audit parses every
 //! string through both the fast-tier reader and the exact-only reader and
 //! compares both against the original bits; then best-of-`reps` timed
-//! passes drive [`BatchParser::parse_offsets`] zero-copy over the arena,
-//! once with the fast tiers and once exact-only. Results land in
-//! `BENCH_reader.json` (schema validated by `ci.sh`).
+//! passes walk the arena and its offsets zero-copy, once through
+//! [`BatchParser::parse_offsets`] (the fast tiers) and once through
+//! [`fpp_reader::read_f64_exact`] per entry (the exact baseline). Results
+//! land in `BENCH_reader.json` (schema validated by `ci.sh`; `--quick`
+//! writes `target/bench-quick/BENCH_reader.json` instead).
 
 use fpp_batch::{BatchFormatter, BatchOutput};
 use fpp_bench::workloads::{schryer_column, uniform_column};
@@ -56,22 +58,27 @@ fn audit_roundtrip(values: &[f64], out: &BatchOutput) {
     }
 }
 
-/// Best-of-`reps` timing of one parser zero-copy over the arena, after one
-/// warming pass. Returns seconds.
-fn run_timed(parser: &BatchParser, out: &BatchOutput, reps: usize) -> f64 {
-    let mut parsed = Vec::new();
-    parser
-        .parse_offsets(out.arena(), out.offsets(), &mut parsed)
-        .expect("warm pass");
+/// Best-of-`reps` timing of `pass`, after one warming call. Returns
+/// seconds.
+fn best_of(reps: usize, mut pass: impl FnMut()) -> f64 {
+    pass();
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let start = Instant::now();
-        parser
-            .parse_offsets(out.arena(), out.offsets(), &mut parsed)
-            .expect("timed pass");
+        pass();
         best = best.min(start.elapsed().as_secs_f64());
     }
     best
+}
+
+/// The exact baseline: every entry of the arena, located through the same
+/// offsets table, parsed by the big-integer reader alone.
+fn parse_exact(out: &BatchOutput, parsed: &mut Vec<f64>) {
+    parsed.clear();
+    parsed.extend(
+        out.iter()
+            .map(|s| read_f64_exact(s).expect("printed text parses")),
+    );
 }
 
 /// Best-of-`reps` timing of the full print→parse round trip (format into
@@ -110,14 +117,9 @@ fn main() {
     // Single-threaded parsers: this report measures the scalar conversion
     // engines, not shard scaling (the sharded path is covered by its own
     // tests and degenerates to one shard on the CI host anyway).
-    let serial = BatchParseOptions {
+    let fast = BatchParser::with_options(BatchParseOptions {
         threads: Some(1),
         ..BatchParseOptions::default()
-    };
-    let fast = BatchParser::with_options(serial.clone());
-    let exact = BatchParser::with_options(BatchParseOptions {
-        fast_path: false,
-        ..serial
     });
     let mut formatter = BatchFormatter::new();
 
@@ -133,8 +135,12 @@ fn main() {
         let accept_rate = accepted as f64 / values.len() as f64;
         audit_roundtrip(values, &out);
 
-        let exact_s = run_timed(&exact, &out, reps);
-        let fast_s = run_timed(&fast, &out, reps);
+        let mut parsed = Vec::new();
+        let exact_s = best_of(reps, || parse_exact(&out, &mut parsed));
+        let fast_s = best_of(reps, || {
+            fast.parse_offsets(out.arena(), out.offsets(), &mut parsed)
+                .expect("printed text parses");
+        });
         let exact_fps = values.len() as f64 / exact_s;
         let fast_fps = values.len() as f64 / fast_s;
         let speedup = fast_fps / exact_fps;
@@ -171,6 +177,7 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"roundtrip\",\n  \"schema_version\": 1,\n  \"quick\": {quick},\n  \"element_count\": {n},\n  \"workloads\": [\n{workload_json}\n  ],\n  \"summary\": {{\n    \"workload\": \"uniform\",\n    \"accept_rate\": {accept_rate:.6},\n    \"exact_floats_per_sec\": {exact_fps:.0},\n    \"fast_floats_per_sec\": {fast_fps:.0},\n    \"speedup\": {speedup:.3},\n    \"roundtrip_floats_per_sec\": {rt_fps:.0},\n    \"roundtrip_ok\": true,\n    \"parity_checked\": true\n  }}\n}}\n"
     );
-    std::fs::write("BENCH_reader.json", json).expect("write BENCH_reader.json");
-    println!("wrote BENCH_reader.json");
+    let path = fpp_bench::report_path("BENCH_reader.json", quick);
+    std::fs::write(&path, json).expect("write BENCH_reader.json");
+    println!("wrote {}", path.display());
 }

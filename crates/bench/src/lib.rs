@@ -18,6 +18,26 @@
 pub mod sweep;
 pub mod workloads;
 
+use std::path::PathBuf;
+
+/// Where a report binary writes its JSON: the committed `BENCH_*.json` in
+/// the working directory for a full run, `target/bench-quick/` for a
+/// `--quick` smoke run, so a smoke run never overwrites the full-run
+/// figures.
+///
+/// # Panics
+///
+/// Panics if the `target/bench-quick/` directory cannot be created.
+#[must_use]
+pub fn report_path(file: &str, quick: bool) -> PathBuf {
+    if !quick {
+        return PathBuf::from(file);
+    }
+    let dir = PathBuf::from("target/bench-quick");
+    std::fs::create_dir_all(&dir).expect("create target/bench-quick");
+    dir.join(file)
+}
+
 pub use sweep::{
     count_fixed_roundtrip_failures, count_free_roundtrip_failures, count_naive_incorrect,
     sweep_fixed_seventeen, sweep_free, sweep_naive_printf, sweep_scale_only, sweep_shortest_sink,

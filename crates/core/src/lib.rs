@@ -370,8 +370,7 @@ impl FreeFormat {
     /// Specials (`NaN`, infinities, zeros) are always written directly.
     ///
     /// [`FreeFormat::write_to`] already calls this internally; it is public
-    /// so bulk drivers can order their own pipelines (e.g. fast path before
-    /// a cache probe) and so benchmarks can measure acceptance directly.
+    /// so benchmarks can measure acceptance directly.
     ///
     /// # Panics
     ///

@@ -27,11 +27,6 @@ pub struct BatchParseOptions {
     /// stay serial, and shard counts are capped at `len / min_shard_len`.
     /// The default 4096 matches the formatter's tuning.
     pub min_shard_len: usize,
-    /// Whether to use the fast tiers (scan → Clinger → Eisel–Lemire) with
-    /// the exact reader as fallback (default `true`), or the exact
-    /// big-integer path for every value (`false` — the measurement
-    /// baseline, and a way to exercise the fallback itself).
-    pub fast_path: bool,
 }
 
 impl Default for BatchParseOptions {
@@ -39,7 +34,6 @@ impl Default for BatchParseOptions {
         BatchParseOptions {
             threads: None,
             min_shard_len: 4096,
-            fast_path: true,
         }
     }
 }
@@ -128,13 +122,13 @@ impl BatchParser {
     ) -> Result<(), BatchParseError> {
         out.clear();
         out.resize(strings.len(), 0.0);
-        let parse_one = self.scalar_fn();
         self.run(out, strings.len(), |slot_base, slots| {
             for (j, slot) in slots.iter_mut().enumerate() {
-                *slot = parse_one(strings[slot_base + j]).map_err(|error| BatchParseError {
-                    index: slot_base + j,
-                    error,
-                })?;
+                *slot =
+                    crate::read_f64(strings[slot_base + j]).map_err(|error| BatchParseError {
+                        index: slot_base + j,
+                        error,
+                    })?;
             }
             Ok(())
         })
@@ -161,7 +155,6 @@ impl BatchParser {
         let entries = offsets.len().saturating_sub(1);
         out.clear();
         out.resize(entries, 0.0);
-        let parse_one = self.scalar_fn();
         self.run(out, entries, |slot_base, slots| {
             for (j, slot) in slots.iter_mut().enumerate() {
                 let i = slot_base + j;
@@ -174,19 +167,11 @@ impl BatchParser {
                     .ok_or_else(|| fail("arena offsets out of bounds"))?;
                 let text =
                     std::str::from_utf8(text).map_err(|_| fail("entry is not valid UTF-8"))?;
-                *slot = parse_one(text).map_err(|error| BatchParseError { index: i, error })?;
+                *slot =
+                    crate::read_f64(text).map_err(|error| BatchParseError { index: i, error })?;
             }
             Ok(())
         })
-    }
-
-    /// The per-value conversion the options select.
-    fn scalar_fn(&self) -> fn(&str) -> Result<f64, ParseFloatError> {
-        if self.opts.fast_path {
-            crate::read_f64
-        } else {
-            crate::read_f64_exact
-        }
     }
 
     /// Runs `work(base_index, slot_chunk)` over `out`, serially or across
@@ -297,7 +282,6 @@ mod tests {
         let parser = BatchParser::with_options(BatchParseOptions {
             threads: Some(4),
             min_shard_len: 8,
-            fast_path: true,
         });
         let err = parser.parse_f64s(&strings).unwrap_err();
         assert_eq!(err.index, 41, "lowest failing index wins");
@@ -316,7 +300,6 @@ mod tests {
         let sharded = BatchParser::with_options(BatchParseOptions {
             threads: Some(8),
             min_shard_len: 64,
-            fast_path: true,
         })
         .parse_f64s(&refs)
         .expect("sharded");
@@ -329,15 +312,11 @@ mod tests {
     #[test]
     fn exact_only_mode_agrees() {
         let strings = ["0.3", "9007199254740993", "2.2250738585072011e-308"];
-        let exact = BatchParser::with_options(BatchParseOptions {
-            fast_path: false,
-            ..BatchParseOptions::default()
-        });
-        let fast = BatchParser::new();
-        assert_eq!(
-            exact.parse_f64s(&strings).unwrap(),
-            fast.parse_f64s(&strings).unwrap()
-        );
+        let parsed = BatchParser::new().parse_f64s(&strings).unwrap();
+        for (s, v) in strings.iter().zip(&parsed) {
+            let exact = crate::read_f64_exact(s).unwrap();
+            assert_eq!(v.to_bits(), exact.to_bits(), "{s}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! does — digit lengths (§5), scale fixups (§3.2, Table 2), loop iterations.
 //! This crate makes those same distributions observable in a *production*
 //! pipeline: the digit loop, the scaling estimator, the bignum scratch
-//! arena, the batch memo and sharder, and the reader all report into one
+//! arena, the batch sharder, and the reader all report into one
 //! process-wide set of counters, fixed-bucket histograms and high-water
 //! gauges.
 //!
@@ -131,16 +131,6 @@ metric_enum! {
         /// the steady-state-allocation warning signal (non-zero after
         /// warm-up means the zero-alloc guarantee is at risk).
         ScratchPoolMisses => "scratch_pool_misses",
-        /// Batch memo lookups answered from the memo.
-        BatchMemoHits => "batch_memo_hits",
-        /// Batch memo lookups that fell through to the pipeline.
-        BatchMemoMisses => "batch_memo_misses",
-        /// Memo inserts that overwrote a live entry of a different key
-        /// (direct-mapped collision evictions).
-        BatchMemoEvictions => "batch_memo_evictions",
-        /// Memo probes skipped by the adaptive guard while probing was
-        /// suspended for a persistently low observed hit rate.
-        BatchMemoSkipped => "batch_memo_skipped",
         /// Serial (single-context) batch conversions.
         BatchSerialBatches => "batch_serial_batches",
         /// Sharded batch conversions.
@@ -492,32 +482,6 @@ pub fn record_scratch_put(pool_len: usize, limb_capacity: usize) {
     imp::gauge_max(Gauge::ScratchLimbsHwm, limb_capacity as u64);
 }
 
-/// Records one batch-memo lookup.
-#[inline(always)]
-pub fn record_memo_lookup(hit: bool) {
-    imp::add(
-        if hit {
-            Counter::BatchMemoHits
-        } else {
-            Counter::BatchMemoMisses
-        },
-        1,
-    );
-}
-
-/// Records a batch-memo insert that evicted a live entry of another key.
-#[inline(always)]
-pub fn record_memo_eviction() {
-    imp::add(Counter::BatchMemoEvictions, 1);
-}
-
-/// Records a memo probe skipped by the adaptive guard (probing suspended
-/// after a persistently low hit rate; neither a hit nor a miss).
-#[inline(always)]
-pub fn record_memo_skip() {
-    imp::add(Counter::BatchMemoSkipped, 1);
-}
-
 /// Records one serial batch conversion.
 #[inline(always)]
 pub fn record_serial_batch() {
@@ -665,15 +629,6 @@ impl TelemetrySnapshot {
     #[must_use]
     pub fn gauge(&self, g: Gauge) -> u64 {
         self.gauges[g as usize]
-    }
-
-    /// Memo hit fraction in `[0, 1]` (0 when no lookups happened).
-    #[must_use]
-    pub fn memo_hit_rate(&self) -> f64 {
-        ratio(
-            self.get(Counter::BatchMemoHits),
-            self.get(Counter::BatchMemoHits) + self.get(Counter::BatchMemoMisses),
-        )
     }
 
     /// Fraction of scalar fast-path attempts the fast path answered itself
@@ -888,16 +843,12 @@ mod tests {
     #[test]
     fn derived_rates_handle_empty_and_populated() {
         let mut snap = TelemetrySnapshot::default();
-        assert_eq!(snap.memo_hit_rate(), 0.0);
         assert_eq!(snap.fixup_rate(), 0.0);
         assert_eq!(snap.mean_digits(), 0.0);
-        snap.counters[Counter::BatchMemoHits as usize] = 3;
-        snap.counters[Counter::BatchMemoMisses as usize] = 1;
         snap.counters[Counter::CoreScaleFixups as usize] = 1;
         snap.counters[Counter::CoreScaleExact as usize] = 3;
         snap.counters[Counter::CoreDigitsEmitted as usize] = 34;
         snap.counters[Counter::CoreConversions as usize] = 2;
-        assert!((snap.memo_hit_rate() - 0.75).abs() < 1e-12);
         assert!((snap.fixup_rate() - 0.25).abs() < 1e-12);
         assert!((snap.mean_digits() - 17.0).abs() < 1e-12);
     }
@@ -924,8 +875,6 @@ mod tests {
                 record_scale(i % 2 == 0);
                 record_scratch_take(false);
                 record_scratch_put(4, 128);
-                record_memo_lookup(true);
-                record_memo_eviction();
                 record_shard(4096);
                 record_read(ReadPath::FastPath);
                 record_parse_batch(16);
@@ -956,9 +905,6 @@ mod tests {
             record_scratch_put(3, 64);
             std::thread::spawn(|| {
                 record_generation(17, Termination::High);
-                record_memo_lookup(true);
-                record_memo_lookup(false);
-                record_memo_eviction();
                 record_shard(5000);
                 record_read(ReadPath::Exact);
                 record_read(ReadPath::EiselLemire);
@@ -972,18 +918,17 @@ mod tests {
             // pauses included) and resumes cleanly afterwards.
             with_recording_paused(|| {
                 record_generation(9, Termination::Low);
-                with_recording_paused(|| record_memo_lookup(true));
-                record_memo_lookup(false);
+                with_recording_paused(|| record_fastpath(true));
+                record_fastpath(false);
             });
             record_fastpath(true);
             record_fastpath(false);
             let snap = TelemetrySnapshot::capture();
-            assert_eq!(snap.get(Counter::CoreFastPathHits), 1);
-            assert_eq!(snap.get(Counter::CoreFastPathFallbacks), 1);
+            assert_eq!(snap.get(Counter::CoreFastPathHits), 1, "paused hit dropped");
             assert_eq!(
-                snap.get(Counter::BatchMemoMisses),
+                snap.get(Counter::CoreFastPathFallbacks),
                 1,
-                "paused lookup dropped"
+                "paused fallback dropped"
             );
             assert_eq!(snap.get(Counter::CoreConversions), 3);
             assert_eq!(snap.get(Counter::CoreDigitsEmitted), 39);
@@ -995,8 +940,6 @@ mod tests {
             assert_eq!(snap.get(Counter::CoreScaleExact), 1);
             assert_eq!(snap.get(Counter::ScratchPoolMisses), 1);
             assert_eq!(snap.get(Counter::ScratchTakes), 2);
-            assert_eq!(snap.get(Counter::BatchMemoHits), 1);
-            assert_eq!(snap.get(Counter::BatchMemoEvictions), 1);
             assert_eq!(snap.get(Counter::ReaderExactFallbacks), 1);
             assert_eq!(snap.get(Counter::ReaderEiselLemireHits), 1);
             assert_eq!(snap.get(Counter::ReaderReads), 2);

@@ -143,7 +143,7 @@ fn sink_conversions_are_allocation_free_after_warm_up() {
 
     // The batch engine inherits the guarantee: once a formatter and its
     // output have seen one batch of this shape, re-running the batch — the
-    // memoised serial path and the CSV/JSON serializer frontends alike —
+    // serial path and the CSV/JSON serializer frontends alike —
     // must not touch the allocator. (The sharded path is exempt: spawning
     // scoped threads allocates; its per-shard conversion state is the same
     // recycled machinery proven here.)

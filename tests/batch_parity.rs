@@ -1,14 +1,16 @@
 //! Byte-for-byte parity of the batch engine against the per-value API.
 //!
-//! Every batch path — serial, serial-with-memo under forced collisions,
-//! and sharded at several thread counts — must reproduce
-//! [`fpp::print_shortest`]'s exact bytes over the Schryer hard cases, the
-//! special-value gallery (signed zeros, subnormals, infinities, NaN), and
-//! duplicate-heavy columns. Buffer-reuse stability is asserted here too;
+//! Every batch path — serial, sharded at several thread counts, and the
+//! per-value/serializer frontends — must reproduce [`fpp::print_shortest`]'s
+//! exact bytes over the Schryer hard cases, the special-value gallery
+//! (signed zeros, subnormals, infinities, NaN), duplicate-heavy columns, and
+//! the values the fast tier rejects. Buffer-reuse stability is asserted here too;
 //! the steady-state *zero-allocation* proof lives with the counting global
 //! allocator in `tests/alloc_count.rs`.
 
 use fpp::batch::{BatchFormatter, BatchOptions, BatchOutput};
+use fpp::core::DtoaContext;
+use fpp::float::FloatFormat;
 use fpp::testgen::{special_values, SchryerSet};
 use fpp::{print_shortest, FreeFormat};
 
@@ -37,7 +39,6 @@ fn sharded_formatter(threads: usize) -> BatchFormatter {
     BatchFormatter::with_options(BatchOptions {
         threads: Some(threads),
         min_shard_len: 8,
-        ..BatchOptions::default()
     })
 }
 
@@ -59,16 +60,7 @@ fn serial_batch_matches_print_shortest_on_schryer() {
     let mut fmt = BatchFormatter::new();
     let mut out = BatchOutput::new();
     fmt.format_f64s(&values, &mut out);
-    assert_parity(&values, &out, "serial+memo");
-
-    let mut nocache = BatchFormatter::with_options(BatchOptions {
-        memo_capacity: 0,
-        ..BatchOptions::default()
-    });
-    let mut out_nc = BatchOutput::new();
-    nocache.format_f64s(&values, &mut out_nc);
-    assert_eq!(out.arena(), out_nc.arena(), "memo must not change bytes");
-    assert_eq!(out.offsets(), out_nc.offsets());
+    assert_parity(&values, &out, "serial");
 }
 
 #[test]
@@ -101,9 +93,9 @@ fn special_values_follow_the_per_value_policy() {
     fmt.format_f64s(&values, &mut out);
     assert_parity(&values, &out, "specials serial");
 
-    // Twice, so the second pass exercises memo hits for every special.
+    // Twice, so the second pass runs on the reused context and arena.
     fmt.format_f64s(&values, &mut out);
-    assert_parity(&values, &out, "specials memoised");
+    assert_parity(&values, &out, "specials reused");
 
     let mut sharded = sharded_formatter(3);
     let mut out_sh = BatchOutput::new();
@@ -112,31 +104,75 @@ fn special_values_follow_the_per_value_policy() {
 }
 
 #[test]
-fn duplicate_heavy_columns_survive_forced_memo_collisions() {
-    // 40 distinct values hammered through a 16-slot memo: constant
-    // eviction, every hit must still be exact.
+fn duplicate_heavy_columns_match_print_shortest() {
+    // 40 distinct values repeated 500 times each, interleaved.
     let pool: Vec<f64> = SchryerSet::new().iter().step_by(977).take(40).collect();
     let values: Vec<f64> = (0..20_000).map(|i| pool[(i * 7 + i / 13) % 40]).collect();
-    // Fast path off: this test pins memo mechanics, and with it on the
-    // accepted values would never reach the memo at all.
-    let mut fmt = BatchFormatter::with_options(BatchOptions {
-        memo_capacity: 16,
-        fast_path: false,
-        ..BatchOptions::default()
-    });
     let mut out = BatchOutput::new();
-    fmt.format_f64s(&values, &mut out);
-    assert_parity(&values, &out, "collision-heavy memo");
-    let stats = fmt.memo_stats();
-    assert!(stats.hits > 0, "memo saw hits: {stats:?}");
+    BatchFormatter::new().format_f64s(&values, &mut out);
+    assert_parity(&values, &out, "duplicate-heavy serial");
+    sharded_formatter(3).format_f64s_sharded(&values, &mut out);
+    assert_parity(&values, &out, "duplicate-heavy sharded");
+}
+
+/// The values of `candidates` the fast tier rejects, i.e. the ones whose
+/// bytes come from the exact engine.
+fn fast_tier_rejections<F: FloatFormat>(candidates: impl IntoIterator<Item = F>) -> Vec<F> {
+    let free = FreeFormat::new();
+    let mut ctx = DtoaContext::new(10);
+    let mut sink = Vec::new();
+    candidates
+        .into_iter()
+        .filter(|&v| {
+            sink.clear();
+            !free.try_write_fast(&mut ctx, &mut sink, v)
+        })
+        .collect()
+}
+
+#[test]
+fn fast_tier_rejections_match_the_per_value_printer() {
+    // About 0.15% of subnormals are rejections; this sample holds dozens.
+    let subnormals =
+        (1..20_000u64).map(|i| f64::from_bits(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 12));
+    let candidates = schryer_workload()
+        .into_iter()
+        .chain([1e23, 5e-324, -5e-324])
+        .chain(subnormals);
+    let values = fast_tier_rejections(candidates);
+    assert!(values.len() >= 10, "only {} rejections", values.len());
+    assert!(values.contains(&1e23));
     assert!(
-        stats.evictions > 0,
-        "forced collisions must report evictions: {stats:?}"
+        values.iter().any(|v| v.abs() < f64::MIN_POSITIVE),
+        "no subnormal rejections"
     );
+
+    let mut fmt = BatchFormatter::new();
+    let mut csv = Vec::new();
+    fmt.write_csv(&[("v", &values[..])], &mut csv);
+    let mut expected_csv = b"v\n".to_vec();
+    for &v in &values {
+        let mut one = Vec::new();
+        fmt.format_one_f64(v, &mut one);
+        assert_eq!(one, print_shortest(v).as_bytes(), "format_one_f64({v:e})");
+        expected_csv.extend_from_slice(print_shortest(v).as_bytes());
+        expected_csv.push(b'\n');
+    }
+    assert_eq!(csv, expected_csv, "write_csv");
+
+    let free = FreeFormat::new();
+    let f32_spread = (0u32..20_000).map(|i| f32::from_bits(i.wrapping_mul(0x9E37_79B9)));
+    let values32 = fast_tier_rejections(f32_spread);
     assert!(
-        stats.evictions <= stats.misses,
-        "every eviction follows a missed lookup: {stats:?}"
+        values32.len() >= 10,
+        "only {} f32 rejections",
+        values32.len()
     );
+    let mut out = BatchOutput::new();
+    fmt.format_f32s(&values32, &mut out);
+    for (i, &v) in values32.iter().enumerate() {
+        assert_eq!(out.get(i), free.format_f32(v), "format_f32s({v:e})");
+    }
 }
 
 #[test]

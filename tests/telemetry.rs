@@ -1,7 +1,7 @@
 //! End-to-end checks of the live instrumentation (`--features telemetry`):
-//! the registry's view of a batch run must agree with an offline recount,
-//! with the engine's own `MemoStats`, and with the §3.2 scaling contract —
-//! and the exposition formats must stay machine-readable.
+//! the registry's view of a conversion run must agree with an offline
+//! recount, with the fast-tier/exact-engine partition, and with the §3.2
+//! scaling contract — and the exposition formats must stay machine-readable.
 //!
 //! Everything lives in ONE `#[test]` function: the registry is
 //! process-global and the harness runs test functions concurrently, so
@@ -9,7 +9,7 @@
 //! tests. (`Cargo.toml` gates this target behind the `telemetry` feature.)
 
 use fpp::batch::{BatchFormatter, BatchOptions, BatchOutput};
-use fpp::core::{free_format_digits, ScalingStrategy, TieBreak};
+use fpp::core::{free_format_digits, DtoaContext, FreeFormat, ScalingStrategy, TieBreak};
 use fpp::float::{RoundingMode, SoftFloat};
 use fpp::telemetry::{self, Counter, TelemetrySnapshot, DIGIT_LEN_BUCKETS};
 use fpp::testgen::log_uniform_doubles;
@@ -63,33 +63,30 @@ fn assert_prometheus_parses(text: &str) {
 }
 
 #[test]
-fn live_counters_agree_with_offline_recount_and_memo_stats() {
+fn live_counters_agree_with_offline_recount() {
     // This target only exists with --features telemetry (Cargo.toml gates it).
     const { assert!(telemetry::ENABLED) };
     let n = 20_000;
     let values: Vec<f64> = log_uniform_doubles(0xBEEF).take(n).collect();
 
-    // Formatters warm up real conversions at construction — build them all
-    // before resetting the counters.
-    // Passes 1 and 2 pin exact-engine counters, so they disable the fast
-    // path; a dedicated pass below pins the fast-path counters.
-    let mut nocache = BatchFormatter::with_options(BatchOptions {
-        memo_capacity: 0,
-        fast_path: false,
-        ..BatchOptions::default()
-    });
-    let mut collide = BatchFormatter::with_options(BatchOptions {
-        memo_capacity: 16,
-        fast_path: false,
-        ..BatchOptions::default()
-    });
+    // Contexts and formatters warm up real conversions at construction —
+    // build them all before resetting the counters. Pass 1 pins the exact
+    // engine's counters, so it drives the engine with the fast tier off; the
+    // next pass pins the fast-tier counters.
+    let exact = FreeFormat::new().fast_path(false);
+    let mut ctx = DtoaContext::new(10);
+    ctx.warm_up();
+    let mut sink = Vec::new();
     let mut fastpath_fmt = BatchFormatter::new();
     let mut out = BatchOutput::new();
     let offline = offline_hist(&values);
 
-    // Pass 1: memo off, every value through the digit loop exactly once.
+    // Pass 1: fast tier off, every value through the digit loop exactly once.
     telemetry::reset();
-    nocache.format_f64s(&values, &mut out);
+    for &v in &values {
+        sink.clear();
+        exact.write_to(&mut ctx, &mut sink, v);
+    }
     let snap = TelemetrySnapshot::capture();
 
     assert_eq!(snap.get(Counter::CoreConversions), n as u64);
@@ -132,43 +129,18 @@ fn live_counters_agree_with_offline_recount_and_memo_stats() {
         snap.get(Counter::ScratchTakes) > 0,
         "scratch arena instrumentation is wired"
     );
-    assert_eq!(snap.get(Counter::BatchSerialBatches), 1);
-    assert_eq!(
-        snap.get(Counter::BatchMemoHits) + snap.get(Counter::BatchMemoMisses),
-        0,
-        "a disabled memo must not record lookups"
-    );
     assert_eq!(
         snap.get(Counter::CoreFastPathHits) + snap.get(Counter::CoreFastPathFallbacks),
         0,
-        "a fast-path-disabled formatter must not record attempts"
-    );
-
-    // Pass 2: a 16-slot memo under a 40-distinct-value collision workload —
-    // registry counters must mirror the engine's own MemoStats, evictions
-    // included.
-    let pool: Vec<f64> = values.iter().copied().step_by(500).take(40).collect();
-    let column: Vec<f64> = (0..10_000).map(|i| pool[(i * 7 + i / 13) % 40]).collect();
-    telemetry::reset();
-    collide.format_f64s(&column, &mut out);
-    let snap = TelemetrySnapshot::capture();
-    let stats = collide.memo_stats();
-    assert_eq!(snap.get(Counter::BatchMemoHits), stats.hits);
-    assert_eq!(snap.get(Counter::BatchMemoMisses), stats.misses);
-    assert_eq!(snap.get(Counter::BatchMemoEvictions), stats.evictions);
-    assert!(stats.evictions > 0, "40 keys over 16 slots must evict");
-    assert!(stats.hits > 0);
-    assert!(
-        (snap.memo_hit_rate() - stats.hit_rate()).abs() < 1e-12,
-        "derived hit rates agree"
+        "a fast-path-disabled format must not record attempts"
     );
 
     // Fast-path pass: the default formatter tries Grisu on every finite
-    // value; hits skip the memo entirely, fallbacks partition into memo
-    // hits and exact conversions.
+    // value and runs the exact engine on exactly the values it rejects.
     telemetry::reset();
     fastpath_fmt.format_f64s(&values, &mut out);
     let snap = TelemetrySnapshot::capture();
+    assert_eq!(snap.get(Counter::BatchSerialBatches), 1);
     assert_eq!(
         snap.get(Counter::CoreFastPathHits) + snap.get(Counter::CoreFastPathFallbacks),
         n as u64,
@@ -181,8 +153,8 @@ fn live_counters_agree_with_offline_recount_and_memo_stats() {
     );
     assert_eq!(
         snap.get(Counter::CoreConversions),
-        snap.get(Counter::BatchMemoMisses),
-        "fallbacks partition into memo hits and exact conversions"
+        snap.get(Counter::CoreFastPathFallbacks),
+        "every fast-path rejection runs the exact engine once"
     );
     assert!(
         (snap.fastpath_hit_rate() - snap.get(Counter::CoreFastPathHits) as f64 / n as f64).abs()
@@ -190,13 +162,15 @@ fn live_counters_agree_with_offline_recount_and_memo_stats() {
         "derived fast-path hit rate agrees"
     );
 
-    // Sharded pass: worker threads flush their blocks when the scope joins
-    // them, so the aggregate sees every shard's values.
+    // Sharded pass over a duplicate-heavy column: worker threads flush
+    // their blocks when the scope joins them, so the aggregate sees every
+    // shard's values.
+    let pool: Vec<f64> = values.iter().copied().step_by(500).take(40).collect();
+    let column: Vec<f64> = (0..10_000).map(|i| pool[(i * 7 + i / 13) % 40]).collect();
     telemetry::reset();
     let mut sharded = BatchFormatter::with_options(BatchOptions {
         threads: Some(3),
         min_shard_len: 8,
-        ..BatchOptions::default()
     });
     let mut sharded_out = BatchOutput::new();
     sharded.format_f64s_sharded(&column, &mut sharded_out);
@@ -240,7 +214,6 @@ fn live_counters_agree_with_offline_recount_and_memo_stats() {
     let sharded_parser = fpp::BatchParser::with_options(fpp::BatchParseOptions {
         threads: Some(3),
         min_shard_len: 1,
-        fast_path: true,
     });
     sharded_parser.parse_f64s(&strings).expect("valid column");
     let snap = TelemetrySnapshot::capture();
@@ -262,8 +235,6 @@ fn live_counters_agree_with_offline_recount_and_memo_stats() {
         "\"schema_version\"",
         "\"core_conversions\"",
         "\"core_fastpath_hits\"",
-        "\"batch_memo_skipped\"",
-        "\"batch_memo_evictions\"",
         "\"scratch_pool_hwm\"",
         "\"core_digit_len\"",
         "\"batch_shard_len_log2\"",
