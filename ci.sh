@@ -36,9 +36,9 @@ for key in bench schema_version threads element_count workloads floats_per_sec \
 done
 
 echo "== fast path: parity tests (release) =="
-# Byte-for-byte parity of the Grisu-style fast path against the exact
-# engine: the sampled/stratified suites, plus the 10M-sample sweep (ignored
-# by default — it needs release-mode speed).
+# Byte-for-byte parity of the Schubfach fast tier against the exact engine:
+# the pinned/sampled/stratified/half-precision suites, plus the 10M-sample
+# sweep (ignored by default — it needs release-mode speed).
 cargo test --release -q --test fastpath_parity
 cargo test --release -q --test fastpath_parity -- --ignored ten_million
 

@@ -14,12 +14,12 @@
 //! algorithm described in this paper is useful when these heuristics fail".
 
 use crate::simple_fixed::simple_fixed_digits;
-use fpp_bignum::{Nat, PowerTable};
+use fpp_bignum::PowerTable;
+use fpp_float::pow10 as table;
 use fpp_float::{Decoded, FloatFormat, SoftFloat};
-use std::sync::OnceLock;
 
 /// `10ⁿ = mantissa × 2^exponent · (1 + δ)`, `|δ| ≤ 2⁻⁶⁴`, with
-/// `2⁶³ ≤ mantissa < 2⁶⁴` — correctly rounded from exact big-integer powers
+/// `2⁶³ ≤ mantissa < 2⁶⁴` — correctly rounded from the shared exact table
 /// (unlike the deliberately drifty table in [`crate::naive_printf`]).
 #[derive(Debug, Clone, Copy)]
 struct Pow10 {
@@ -31,85 +31,26 @@ struct Pow10 {
     exact: bool,
 }
 
-const POW10_MIN: i32 = -344;
-const POW10_MAX: i32 = 350;
-
-fn pow10_table() -> &'static Vec<Pow10> {
-    static TABLE: OnceLock<Vec<Pow10>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = Vec::with_capacity((POW10_MAX - POW10_MIN + 1) as usize);
-        for n in POW10_MIN..=POW10_MAX {
-            table.push(exact_pow10_rounded(n));
-        }
-        table
-    })
-}
-
-/// Correctly rounded 64-bit mantissa form of `10ⁿ` via exact arithmetic.
-fn exact_pow10_rounded(n: i32) -> Pow10 {
-    if n >= 0 {
-        let p = Nat::from(10u64).pow(n as u32);
-        let bits = p.bit_len() as i32;
-        if bits <= 64 {
-            let m = u64::try_from(&p).expect("fits") << (64 - bits);
-            return Pow10 {
-                mantissa: m,
-                exponent: bits - 64,
-                exact: true,
-            };
-        }
-        let shift = (bits - 64) as u32;
-        let top = &p >> shift;
-        let mut m = u64::try_from(&top).expect("64 bits");
-        let exact = p == (&top << shift);
-        // round on the discarded bits (half-up; a half-ulp bound either way)
-        if !exact && p.bit(u64::from(shift) - 1) {
-            m = m.wrapping_add(1);
-            if m == 0 {
-                return Pow10 {
-                    mantissa: 1 << 63,
-                    exponent: bits - 63,
-                    exact: false,
-                };
-            }
-        }
-        Pow10 {
-            mantissa: m,
-            exponent: bits - 64,
-            exact,
-        }
-    } else {
-        // 10ⁿ = 2^(−(db+63)) · (2^(db+63) / 10^(−n)), quotient in [2^63, 2^64).
-        let d = Nat::from(10u64).pow((-n) as u32);
-        let db = d.bit_len() as u32;
-        let num = Nat::one() << (db + 63);
-        let (q, r) = num.div_rem(&d);
-        let mut m = u64::try_from(&q).expect("quotient in [2^63, 2^64)");
-        // Negative powers of ten are never dyadic: always inexact.
-        if r.mul_u64_ref(2) >= d {
-            m = m.wrapping_add(1);
-            if m == 0 {
-                return Pow10 {
-                    mantissa: 1 << 63,
-                    exponent: -(db as i32 + 62),
-                    exact: false,
-                };
-            }
-        }
-        Pow10 {
-            mantissa: m,
-            exponent: -(db as i32 + 63),
-            exact: false,
-        }
-    }
-}
-
+/// The 64-bit entry for `10ⁿ`, rounded from the truncated 128-bit
+/// significand `T[n]` of [`fpp_float::pow10`]: half up on bit 63 of the
+/// low word, which is the correct rounding of `10ⁿ` itself because the
+/// truncation only dropped bits below it. The entry is exact iff
+/// `0 ≤ n ≤ 27` (`5ⁿ < 2⁶⁴`).
 fn pow10(n: i32) -> Option<Pow10> {
-    if (POW10_MIN..=POW10_MAX).contains(&n) {
-        Some(pow10_table()[(n - POW10_MIN) as usize])
-    } else {
-        None
+    if !(table::MIN_EXPONENT..=table::MAX_EXPONENT).contains(&n) {
+        return None;
     }
+    let t = table::significand(n);
+    let exponent = table::floor_log2_pow10(n) - 63;
+    let (mantissa, exponent) = match ((t >> 64) as u64).checked_add((t >> 63) as u64 & 1) {
+        Some(m) => (m, exponent),
+        None => (1 << 63, exponent + 1),
+    };
+    Some(Pow10 {
+        mantissa,
+        exponent,
+        exact: (0..=27).contains(&n),
+    })
 }
 
 /// Attempts the provably-correct fast fixed conversion of a positive finite
@@ -239,8 +180,11 @@ mod tests {
         assert_eq!((p.mantissa, p.exponent, p.exact), (10 << 60, -60, true));
         let p = pow10(19).unwrap(); // 10^19 needs 64 bits: exact
         assert_eq!(p.mantissa, 10_000_000_000_000_000_000u64); // exactly 64 bits, no shift
-                                                               // And one negative power against f64 (exactly rounded to 53 bits
-                                                               // implies agreement of the top 53 bits).
+        let p = pow10(27).unwrap(); // 5^27 < 2^64: still exact
+        assert_eq!((p.mantissa, p.exact), (5u64.pow(27) << 1, true));
+        assert!(!pow10(28).unwrap().exact);
+        // And one negative power against f64 (exactly rounded to 53 bits
+        // implies agreement of the top 53 bits).
         let p = pow10(-1).unwrap();
         let approx = p.mantissa as f64 * 2f64.powi(p.exponent);
         assert!((approx - 0.1).abs() < 1e-18);

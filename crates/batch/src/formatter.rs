@@ -5,8 +5,8 @@
 //! registers, scratch pool, digit buffer) and — under the `parallel`
 //! feature — a pool of shard workers, each with its own context. Formatting
 //! a slice walks it once, writing each value through
-//! [`FreeFormat::write_to`] (the fast tier, then the exact Burger–Dybvig
-//! engine on rejection) straight into the arena. After a first warming
+//! [`FreeFormat::write_to`] (the Schubfach fast tier for the default
+//! configuration) straight into the arena. After a first warming
 //! batch, none of this touches the allocator (asserted by the root crate's
 //! `alloc_count` test).
 
@@ -147,7 +147,7 @@ fn warm_context() -> DtoaContext {
 }
 
 /// The shared per-slice conversion loop: each value is written straight
-/// into the arena (fast tier, exact engine on rejection) and sealed.
+/// into the arena by [`FreeFormat::write_to`] and sealed.
 fn format_slice<F: FloatFormat>(
     format: &FreeFormat,
     ctx: &mut DtoaContext,

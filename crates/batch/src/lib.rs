@@ -8,8 +8,9 @@
 //! conversion as an array-to-array problem, reported in floats/s and MB/s.
 //!
 //! Every value takes one path, [`fpp_core::FreeFormat::write_to`]: the
-//! proof-carrying fast tier, then the exact Burger–Dybvig engine on the
-//! rare rejection. Two mechanisms carry the throughput around it:
+//! Schubfach fast tier, which answers every value of the default
+//! configuration (the exact Burger–Dybvig engine serves the others). Two
+//! mechanisms carry the throughput around it:
 //!
 //! 1. **Context reuse** — every shard owns one warm [`fpp_core::DtoaContext`]
 //!    (power table, big-integer registers, scratch pool, digit buffer), so

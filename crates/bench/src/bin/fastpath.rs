@@ -1,6 +1,7 @@
-//! Fast-path acceptance and speedup report: how often the Grisu-style u64
-//! fast path answers on its own, and what that buys over the exact
-//! Burger–Dybvig engine on the scalar shortest-digits route.
+//! Fast-tier acceptance and speedup report: how often the Schubfach fast
+//! tier answers on its own (always, by construction: the census checks it),
+//! and what that buys over the exact Burger–Dybvig engine on the scalar
+//! shortest-digits route.
 //!
 //! ```bash
 //! cargo run -p fpp-bench --release --bin fastpath            # 1M values
@@ -10,11 +11,10 @@
 //! Two workloads (shared with `throughput`/`stats_live` via
 //! [`fpp_bench::workloads`]):
 //!
-//! * `uniform` — log-uniform doubles, the acceptance-rate headline: the
-//!   issue's bar is ≥ 99% of uniform random f64 answered without falling
-//!   back.
-//! * `schryer` — the paper's hard cases, deliberately boundary-heavy, a
-//!   stress test for the rejection criterion rather than a speed claim.
+//! * `uniform` — log-uniform doubles, the speed headline.
+//! * `schryer` — the paper's hard cases, deliberately boundary-heavy: a
+//!   stress test of the interval and tie decisions rather than a speed
+//!   claim.
 //!
 //! Per workload: an acceptance census via [`FreeFormat::try_write_fast`], a
 //! byte-for-byte parity audit of the default (fast-enabled) formatter
@@ -31,7 +31,7 @@ use std::time::Instant;
 /// Longest shortest-form f64 rendering is well under this.
 const BUF: usize = 64;
 
-/// Counts fast-path acceptances over the column.
+/// Counts fast-tier acceptances over the column.
 fn acceptance(ctx: &mut DtoaContext, values: &[f64]) -> usize {
     let fast = FreeFormat::new();
     let mut buf = [0u8; BUF];
@@ -62,7 +62,7 @@ fn audit_parity(ctx: &mut DtoaContext, values: &[f64]) {
         assert_eq!(
             &fbuf[..flen],
             &ebuf[..elen],
-            "fast path diverges from exact engine at index {i} ({v:?})"
+            "fast tier diverges from exact engine at index {i} ({v:?})"
         );
     }
 }
@@ -104,7 +104,7 @@ fn main() {
     let fast = FreeFormat::new();
     let exact = FreeFormat::new().fast_path(false);
 
-    println!("fast-path report: {n} values/workload, best of {reps} rep(s)\n");
+    println!("fast-tier report: {n} values/workload, best of {reps} rep(s)\n");
 
     let mut workload_json = String::new();
     let mut summary = None;

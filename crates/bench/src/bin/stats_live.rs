@@ -16,7 +16,7 @@
 //!    fixup counters partition the conversions (`exact + fixups =
 //!    conversions`, violations = 0).
 //! 2. **Engine pass** — the default batch formatter, serial then sharded:
-//!    fast-tier hit rate, shard-length histogram and stitch bytes, the way
+//!    fast-tier count, shard-length histogram and stitch bytes, the way
 //!    a production exporter would see them.
 //!
 //! Results land in `BENCH_telemetry.json` (schema validated by `ci.sh`;
@@ -132,25 +132,23 @@ fn main() {
                 "§3.2 'within one' contract violated"
             );
         }
-        // Pass 1 must never attempt the fast path; pass 2 attempts it on
-        // every finite value of both the serial and sharded runs.
+        // Pass 1 must never take the fast tier; pass 2 takes it for every
+        // value of both the serial and sharded runs, and the exact engine
+        // never (the fast tier has no rejection path).
         assert_eq!(
-            hist_snap.get(Counter::CoreFastPathHits)
-                + hist_snap.get(Counter::CoreFastPathFallbacks),
+            hist_snap.get(Counter::CoreFastPathHits),
             0,
-            "fast path ran in the exact-engine histogram pass"
+            "fast tier ran in the exact-engine histogram pass"
         );
         assert_eq!(
-            engine_snap.get(Counter::CoreFastPathHits)
-                + engine_snap.get(Counter::CoreFastPathFallbacks),
+            engine_snap.get(Counter::CoreFastPathHits),
             2 * n as u64,
-            "every engine-pass conversion records one fast-path attempt"
+            "every engine-pass value is printed by the fast tier"
         );
-        // Every fast-path fallback runs the exact engine exactly once.
         assert_eq!(
             engine_snap.get(Counter::CoreConversions),
-            engine_snap.get(Counter::CoreFastPathFallbacks),
-            "exact conversions must equal fast-path fallbacks"
+            0,
+            "the exact engine ran in the engine pass"
         );
     }
 
@@ -174,10 +172,8 @@ fn main() {
         hist_snap.get(Counter::CoreScaleViolations),
     );
     println!(
-        "fast path          {} hits / {} fallbacks (hit rate {:.4})",
+        "fast tier          {} values",
         engine_snap.get(Counter::CoreFastPathHits),
-        engine_snap.get(Counter::CoreFastPathFallbacks),
-        engine_snap.fastpath_hit_rate(),
     );
     println!(
         "scratch arena      {} takes, {} pool misses, pool hwm {}, limb hwm {}",
@@ -193,7 +189,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"telemetry_stats\",\n  \"schema_version\": 1,\n  \"quick\": {quick},\n  \"telemetry_enabled\": {enabled},\n  \"threads\": {threads},\n  \"element_count\": {n},\n  \"distinct_values\": {distinct},\n  \"digit_len_hist\": {},\n  \"digit_len_offline\": {},\n  \"histogram_match\": {histogram_match},\n  \"mean_digits\": {mean_digits:.4},\n  \"fixup_rate\": {fixup_rate:.6},\n  \"scale_violations\": {},\n  \"term\": {{\n    \"low\": {},\n    \"high\": {},\n    \"tie\": {},\n    \"tie_round_up\": {}\n  }},\n  \"fastpath\": {{\n    \"hits\": {},\n    \"fallbacks\": {},\n    \"hit_rate\": {:.6}\n  }},\n  \"scratch\": {{\n    \"takes\": {},\n    \"puts\": {},\n    \"pool_misses\": {},\n    \"pool_hwm\": {},\n    \"limbs_hwm\": {}\n  }},\n  \"sharded\": {{\n    \"batches\": {},\n    \"shards_run\": {},\n    \"stitch_bytes\": {}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"telemetry_stats\",\n  \"schema_version\": 1,\n  \"quick\": {quick},\n  \"telemetry_enabled\": {enabled},\n  \"threads\": {threads},\n  \"element_count\": {n},\n  \"distinct_values\": {distinct},\n  \"digit_len_hist\": {},\n  \"digit_len_offline\": {},\n  \"histogram_match\": {histogram_match},\n  \"mean_digits\": {mean_digits:.4},\n  \"fixup_rate\": {fixup_rate:.6},\n  \"scale_violations\": {},\n  \"term\": {{\n    \"low\": {},\n    \"high\": {},\n    \"tie\": {},\n    \"tie_round_up\": {}\n  }},\n  \"fastpath\": {{\n    \"hits\": {}\n  }},\n  \"scratch\": {{\n    \"takes\": {},\n    \"puts\": {},\n    \"pool_misses\": {},\n    \"pool_hwm\": {},\n    \"limbs_hwm\": {}\n  }},\n  \"sharded\": {{\n    \"batches\": {},\n    \"shards_run\": {},\n    \"stitch_bytes\": {}\n  }}\n}}\n",
         json_array(&hist_snap.digit_len),
         json_array(&offline),
         hist_snap.get(Counter::CoreScaleViolations),
@@ -202,8 +198,6 @@ fn main() {
         hist_snap.get(Counter::CoreTermTie),
         hist_snap.get(Counter::CoreTieRoundUp),
         engine_snap.get(Counter::CoreFastPathHits),
-        engine_snap.get(Counter::CoreFastPathFallbacks),
-        engine_snap.fastpath_hit_rate(),
         engine_snap.get(Counter::ScratchTakes),
         engine_snap.get(Counter::ScratchPuts),
         engine_snap.get(Counter::ScratchPoolMisses),

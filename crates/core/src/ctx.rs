@@ -74,9 +74,9 @@ impl DtoaContext {
         // counters (shard contexts are built lazily, mid-measurement).
         fpp_telemetry::with_recording_paused(|| {
             // Drive the extremes through the *exact* engine explicitly:
-            // with the fast path enabled, accepted values would skip the
-            // bignum pipeline and leave its registers (and deep power-table
-            // entries) cold for the first rejected conversion.
+            // base-10 values under the default configuration take the fast
+            // tier and would leave the bignum registers (and deep
+            // power-table entries) cold for the first exact conversion.
             let exact = crate::FreeFormat::new().base(self.base()).fast_path(false);
             let mut buf = [0u8; 96];
             for v in [
@@ -89,20 +89,14 @@ impl DtoaContext {
                 let mut sink = crate::SliceSink::new(&mut buf);
                 exact.write_to(self, &mut sink, v);
             }
-            // One fast-path conversion forces the one-time (global) cached
-            // powers-of-ten table build, so it never lands in a timed
-            // region.
-            let fast = crate::FreeFormat::new().base(self.base());
-            let mut sink = crate::SliceSink::new(&mut buf);
-            fast.write_to(self, &mut sink, 1.0 / 3.0);
         });
         self
     }
 
     /// Writes the shortest round-tripping form of `v` into `sink` — the
-    /// method form of [`crate::write_shortest`] (identical bytes). Tries
-    /// the Grisu-style fast path first and falls back to the exact
-    /// Burger–Dybvig engine when the fast path cannot prove its answer.
+    /// method form of [`crate::write_shortest`] (identical bytes): the
+    /// Schubfach fast tier for base 10, the exact Burger–Dybvig engine for
+    /// every other base.
     ///
     /// ```
     /// use fpp_core::{DtoaContext, SliceSink};

@@ -1,491 +1,293 @@
-//! Grisu3-style fixed-precision fast path (Loitsch, *Printing
-//! Floating-Point Numbers Quickly and Accurately with Integers*, PLDI 2010)
-//! run in front of the exact Burger–Dybvig engine.
+//! The Schubfach shortest printer (Giulietti, *The Schubfach way to render
+//! doubles*, 2020) run in front of the exact Burger–Dybvig engine for
+//! base-10 output.
 //!
-//! The exact engine is correct for every input but pays for it with
-//! multi-limb arithmetic. This module computes the same shortest digit
-//! string using only `u64` arithmetic on 64-bit *approximations* of the
-//! boundary interval `(low, high)` around the input, tracking the
-//! approximation error explicitly:
+//! For `v = c × 2^q` it picks the decimal exponent `k` with
+//! `10^k ≤ 2^q < 10^(k+1)` (`¾·2^q` when the gap below `v` is narrow), so
+//! the rounding interval `[v − low gap, v + high gap]` measured in units of
+//! `10^k` is between 1 and 10 wide. Hence it holds at most one multiple of
+//! 10 and at least one of `s = ⌊v/10^k⌋`, `s + 1`:
 //!
-//! * the input `v = m × 2^e` and its neighbour midpoints `m⁻`, `m⁺` are
-//!   normalized into 64-bit significands (`DiyFp`);
-//! * a cached power of ten `10^K ≈ c_f × 2^{c_e}` (round-to-nearest, built
-//!   from exact `fpp-bignum` arithmetic and verified against it in a unit
-//!   test) scales the interval so its exponent lands in `[ALPHA, GAMMA]`,
-//!   making the integral part of `high` fit a `u32`;
-//! * digits are generated from the scaled `high` endpoint, stopping as soon
-//!   as the remainder falls inside the scaled interval, then weeded toward
-//!   the scaled `v`;
-//! * every quantity carries a ±`unit` error bound. Whenever the digits are
-//!   not *provably* (a) strictly inside the open interval and (b) closest
-//!   to `v` among equal-length strings, generation **rejects** and the
-//!   caller falls back to the exact engine.
+//! 1. if exactly one of the multiples of 10 around `v` lies in the
+//!    interval, it is the shortest output (its trailing zeros are
+//!    stripped);
+//! 2. otherwise the output is `s` or `s + 1`: whichever lies in the
+//!    interval, or the closer one when both do, ties settled by the
+//!    caller's [`TieBreak`].
 //!
-//! Because accepted outputs are certain, they are byte-identical to the
-//! exact engine's output for every nearest-family rounding mode: a string
-//! strictly inside the open interval is accepted by both the inclusive and
-//! exclusive termination tests, and "certainly closest" rules out the tie
-//! comparisons where [`TieBreak`](crate::TieBreak) and endpoint inclusivity
-//! could differ. Exact ties and endpoint hits always reject (their margin
-//! is below the error bound by construction). Directed rounding modes
-//! reshape the interval itself and never take the fast path.
+//! Those are the same choices the paper's digit loop makes, test for test:
+//! "lies in the interval" is its termination conditions with the reader's
+//! endpoint [`Inclusivity`], and "the closer one" its final comparison. So
+//! the output is byte-identical to the exact engine for every value and
+//! every nearest-family rounding mode, and there is no rejection path.
+//!
+//! The scaled values `4v`, `4·low`, `4·high` (in units of `10^k`) are
+//! computed as one 64×128-bit product each against
+//! `g = (T[−k] >> 2) + 1`, a 126-bit upper bound of `10^−k` read from the
+//! shared static table [`fpp_float::pow10`], rounded to odd: the integer
+//! part exactly, and the low bit set whenever the true value is not an
+//! integer. Giulietti proves that this is exact enough to decide every
+//! comparison above for all IEEE `binary64` (and narrower) inputs.
 
-use fpp_bignum::Nat;
-use std::sync::LazyLock;
+use crate::generate::{Inclusivity, TieBreak};
+use fpp_float::pow10;
 
-/// Lower edge of the target exponent window after scaling. With
-/// `e ∈ [ALPHA, GAMMA]` and a normalized significand, the scaled value is
-/// at least `2^63 × 2^ALPHA = 8`, so the first digit is never zero.
-const ALPHA: i32 = -60;
-
-/// Upper edge of the target window: `e ≤ −32` keeps the integral part of
-/// the scaled `high` endpoint within a `u32`.
-const GAMMA: i32 = -32;
-
-/// A 64-bit significand with a binary exponent: the value `f × 2^e`.
-/// "Do-It-Yourself Floating Point" in Loitsch's terminology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct DiyFp {
-    f: u64,
-    e: i32,
+/// `⌊e · log10 2⌋` for `|e| ≤ 5_456_721`.
+fn floor_log10_pow2(e: i32) -> i32 {
+    ((e as i64 * 661_971_961_083) >> 41) as i32
 }
 
-/// Normalizes `f × 2^e` so the significand's top bit is set.
-fn normalize(f: u64, e: i32) -> DiyFp {
-    debug_assert!(f != 0);
-    let shift = f.leading_zeros();
-    DiyFp {
-        f: f << shift,
-        e: e - shift as i32,
-    }
+/// `⌊e · log10 2 + log10 ¾⌋` for `|e| ≤ 5_456_721`: the decimal exponent
+/// for the narrow (¾-wide) rounding interval of a power of two.
+fn floor_log10_three_quarters_pow2(e: i32) -> i32 {
+    ((e as i64 * 661_971_961_083 - 274_743_187_321) >> 41) as i32
 }
 
-/// Rounded 64×64→64 high-part product: `a.f × b.f / 2^64`, round half up.
-/// The result exponent absorbs the discarded 64 bits. Error: when both
-/// inputs are exact this introduces at most 1/2 ulp; Grisu budgets a full
-/// ±1 `unit` for it.
-fn mul(a: DiyFp, b: DiyFp) -> DiyFp {
-    let p = u128::from(a.f) * u128::from(b.f);
-    let h = (p >> 64) as u64;
-    let l = p as u64;
-    DiyFp {
-        f: h + (l >> 63), // round half up on the truncated low word
-        e: a.e + b.e + 64,
-    }
+/// `⌊g·cp / 2^127⌋`, with the low bit forced to 1 when the quotient is
+/// not an integer ("round to odd"). The product's bits below `2^64` are
+/// dropped: `g` exceeds `10^−k·2^r` by less than 1, so they hold only that
+/// excess (`cp < 2^64`), and a quotient that is exactly an integer stays
+/// one. Giulietti shows that every non-integer quotient leaves a set bit
+/// above them.
+fn round_to_odd(g: u128, cp: u64) -> u64 {
+    let lo = u128::from(g as u64) * u128::from(cp);
+    let hi = u128::from((g >> 64) as u64) * u128::from(cp);
+    // ⌊g·cp / 2^64⌋; the quotient by 2^127 is this over 2^63.
+    let mid = hi + (lo >> 64);
+    (mid >> 63) as u64 | u64::from((mid as u64) << 1 != 0)
 }
 
-/// One cached power of ten: `10^k ≈ f × 2^e` with `2^63 ≤ f < 2^64`,
-/// round-to-nearest.
-struct CachedPower {
-    f: u64,
-    e: i32,
-    k: i32,
-}
-
-/// Decimal exponents covered by the cache. Consecutive entries are
-/// `10^8 ≈ 2^26.6` apart in binary exponent, comfortably below the
-/// 28-bit width of the `[ALPHA, GAMMA]` window, so every binary exponent
-/// in range has a matching entry.
-const CACHE_FIRST_K: i32 = -348;
-const CACHE_LAST_K: i32 = 340;
-const CACHE_STEP: usize = 8;
-
-/// The cache itself, built at first use from exact bignum arithmetic
-/// (≈90 entries, one-time cost; `DtoaContext::warm_up` triggers it).
-static CACHED_POWERS: LazyLock<Vec<CachedPower>> = LazyLock::new(|| {
-    (CACHE_FIRST_K..=CACHE_LAST_K)
-        .step_by(CACHE_STEP)
-        .map(|k| {
-            let (f, e) = pow10_significand(k);
-            CachedPower { f, e, k }
-        })
-        .collect()
-});
-
-/// Round-to-nearest 64-bit significand of `10^k`: returns `(f, e)` with
-/// `|10^k − f × 2^e| ≤ 2^{e−1}` and `2^63 ≤ f < 2^64`, computed with exact
-/// `fpp-bignum` arithmetic (no floating point, no precomputed literals).
-fn pow10_significand(k: i32) -> (u64, i32) {
-    if k >= 0 {
-        let p = Nat::u64_pow(10, k as u32);
-        let e = p.bit_len() as i32 - 64;
-        if e <= 0 {
-            // 10^k fits in 64 bits: exact after the normalizing shift.
-            (p.limbs()[0] << (-e) as u32, e)
-        } else {
-            // Drop e low bits, rounding half up: f = ⌊(10^k + 2^{e−1}) / 2^e⌋.
-            let mut half = Nat::zero();
-            half.assign_pow2((e - 1) as u32);
-            let mut sum = Nat::zero();
-            sum.set_sum(&p, &half);
-            let q = &sum >> e as u32;
-            if q.bit_len() == 65 {
-                // Rounding carried into bit 64: 10^k ≈ 2^{64+e} exactly.
-                (1u64 << 63, e + 1)
-            } else {
-                (q.limbs()[0], e)
-            }
-        }
-    } else {
-        // 10^k = 2^{l+63} / (10^m × 2^{l+63+e}) with m = −k and l the bit
-        // length of 10^m, so the quotient lands in [2^63, 2^64).
-        let m = (-k) as u32;
-        let den = Nat::u64_pow(10, m);
-        let l = den.bit_len() as i32;
-        let e = -(l + 63);
-        let mut num = Nat::zero();
-        num.assign_pow2((l + 63) as u32);
-        let (q, r) = num.div_rem(&den);
-        debug_assert_eq!(q.bit_len(), 64);
-        let f = q.limbs()[0];
-        // Round half up: 2·rem ≥ den bumps the quotient.
-        if r.double_cmp(&den) != std::cmp::Ordering::Less {
-            match f.checked_add(1) {
-                Some(f) => (f, e),
-                None => (1u64 << 63, e + 1),
-            }
-        } else {
-            (f, e)
-        }
-    }
-}
-
-/// Picks the cached power `10^K` whose product with a significand of
-/// binary exponent `binary_exp` lands in the `[ALPHA, GAMMA]` window.
-/// Returns the power and `K`, or `None` if the exponent is outside the
-/// cached range (the exact engine handles it).
-fn cached_power_for(binary_exp: i32) -> Option<(DiyFp, i32)> {
-    let table = &*CACHED_POWERS;
-    // After `mul` the exponent is `binary_exp + p.e + 64`; the smallest
-    // entry reaching ALPHA is the right one (grid spacing < window width).
-    let min_e = ALPHA - 64 - binary_exp;
-    let idx = table.partition_point(|p| p.e < min_e);
-    let p = table.get(idx)?;
-    let scaled_e = binary_exp + p.e + 64;
-    if !(ALPHA..=GAMMA).contains(&scaled_e) {
-        return None;
-    }
-    Some((DiyFp { f: p.f, e: p.e }, p.k))
-}
-
-/// Largest power of ten at most `n`, as `(10^x, x + 1)` — the divisor for
-/// the first integral digit and the count of integral digits.
-fn biggest_pow10(n: u32) -> (u32, i32) {
-    debug_assert!(n > 0);
-    let x = n.ilog10();
-    (10u32.pow(x), x as i32 + 1)
-}
-
-/// Attempts the shortest base-10 digit string for `v = mantissa × 2^exponent`
-/// (positive finite, `mantissa < 2^62`). `narrow` marks the power-of-two
-/// mantissa case where the lower gap is half the upper gap.
-///
-/// On success appends raw digit values (not ASCII) to `out` and returns the
-/// paper's scale `k`: the value reads `0.d₁d₂… × 10^k`. On rejection leaves
-/// `out` exactly as it was and returns `None`.
-pub(crate) fn try_shortest_into(
-    mantissa: u64,
-    exponent: i32,
+/// The shortest decimal `f × 10^e` (no trailing zeros in `f`) that reads
+/// back as `v = c × 2^q` under the reader's endpoint `inc`lusivity, the
+/// closest to `v` of that length, ties broken by `tie`. `narrow` marks a
+/// power-of-two significand above the smallest exponent, whose gap below
+/// is half the gap above.
+pub(crate) fn shortest(
+    c: u64,
+    q: i32,
     narrow: bool,
-    out: &mut Vec<u8>,
-) -> Option<i32> {
-    debug_assert!(mantissa > 0 && mantissa < 1 << 62);
-    let w = normalize(mantissa, exponent);
-    // Boundary midpoints: high = (2m+1) × 2^{e−1} always; low is
-    // (2m−1) × 2^{e−1}, or (4m−1) × 2^{e−2} when the gap below is narrow.
-    let plus = normalize(2 * mantissa + 1, exponent - 1);
-    // bitlen(2m+1) = bitlen(m) + 1, so w and plus normalize to the same
-    // exponent; minus is aligned to it by a left shift (≤ 62 bits).
-    debug_assert_eq!(w.e, plus.e);
-    let (minus_f, minus_e) = if narrow {
-        (4 * mantissa - 1, exponent - 2)
+    inc: Inclusivity,
+    tie: TieBreak,
+) -> (u64, i32) {
+    debug_assert!(c > 0 && c < 1 << 53);
+    let cb = c << 2;
+    let cbr = cb + 2;
+    let (cbl, k) = if narrow {
+        (cb - 1, floor_log10_three_quarters_pow2(q))
     } else {
-        (2 * mantissa - 1, exponent - 1)
+        (cb - 2, floor_log10_pow2(q))
     };
-    debug_assert!(minus_e >= plus.e && minus_e - plus.e <= 62);
-    let minus = DiyFp {
-        f: minus_f << (minus_e - plus.e) as u32,
-        e: plus.e,
-    };
+    let h = q + pow10::floor_log2_pow10(-k) + 2;
+    debug_assert!((1..=8).contains(&h));
+    let g = (pow10::significand(-k) >> 2) + 1;
+    let vb = round_to_odd(g, cb << h);
+    let vbl = round_to_odd(g, cbl << h);
+    let vbr = round_to_odd(g, cbr << h);
+    // An endpoint the reader rounds away from `v` must be beaten strictly.
+    let low_out = u64::from(!inc.low_ok);
+    let high_out = u64::from(!inc.high_ok);
 
-    let (c, k10) = cached_power_for(plus.e)?;
-    let w_scaled = mul(w, c);
-    let high = mul(plus, c);
-    let low = mul(minus, c);
-
-    let len_before = out.len();
-    match digit_gen(low, w_scaled, high, out) {
-        Some(p) if out[len_before] != 0 => Some(p - k10),
-        _ => {
-            out.truncate(len_before);
-            None
-        }
+    let s = vb >> 2;
+    let sp10 = s / 10 * 10;
+    let tp10 = sp10 + 10;
+    let sp10_in = vbl + low_out <= sp10 << 2;
+    let tp10_in = (tp10 << 2) + high_out <= vbr;
+    if sp10_in != tp10_in {
+        return strip_zeros(if sp10_in { sp10 } else { tp10 }, k);
     }
+    let t = s + 1;
+    let s_in = vbl + low_out <= s << 2;
+    let t_in = (t << 2) + high_out <= vbr;
+    let up = if s_in != t_in {
+        t_in
+    } else {
+        // Both read back as `v`: the closer wins (`vb` against `4s + 2`).
+        match vb.cmp(&(4 * s + 2)) {
+            std::cmp::Ordering::Less => false,
+            std::cmp::Ordering::Greater => true,
+            std::cmp::Ordering::Equal => tie.rounds_up((s % 10) as u8),
+        }
+    };
+    let f = if up { t } else { s };
+    debug_assert!(f % 10 != 0, "a multiple of 10 in range is taken above");
+    (f, k)
 }
 
-/// Generates digits of `high` until the remainder is provably inside the
-/// scaled interval, then weeds toward `w`. Returns the count of integral
-/// digits of `high` (the decimal point position) on success, `None` when
-/// certainty cannot be established. All three inputs share one exponent in
-/// `[ALPHA, GAMMA]` and carry a ±1 error in the last place.
-fn digit_gen(low: DiyFp, w: DiyFp, high: DiyFp, out: &mut Vec<u8>) -> Option<i32> {
-    debug_assert!(low.e == w.e && w.e == high.e);
-    debug_assert!((ALPHA..=GAMMA).contains(&w.e));
-    let mut unit: u64 = 1;
-    // Outward-rounded interval: anything inside (too_low, too_high) minus
-    // the error margin is certainly inside the true interval.
-    let too_low = low.f - unit;
-    let too_high = high.f.checked_add(unit)?;
-    let mut unsafe_interval = too_high - too_low;
-    let shift = (-w.e) as u32; // 32..=60
-    let one_f = 1u64 << shift;
-    let mut integrals = (too_high >> shift) as u32;
-    let mut fractionals = too_high & (one_f - 1);
-    let dist = too_high - w.f; // distance to w, same scale as unsafe_interval
-    let (mut divisor, p) = biggest_pow10(integrals);
-    let mut kappa = p;
-
-    // Integral digits: divide out powers of ten.
-    while kappa > 0 {
-        out.push((integrals / divisor) as u8);
-        integrals %= divisor;
-        kappa -= 1;
-        let rest = (u64::from(integrals) << shift) + fractionals;
-        if rest < unsafe_interval {
-            let ten_kappa = u64::from(divisor) << shift;
-            return round_weed(out, dist, unsafe_interval, rest, ten_kappa, unit).then_some(p);
-        }
-        divisor /= 10;
+/// Removes the trailing decimal zeros of `f × 10^e`.
+fn strip_zeros(mut f: u64, mut e: i32) -> (u64, i32) {
+    debug_assert!(f != 0);
+    if f.is_multiple_of(100_000_000) {
+        f /= 100_000_000;
+        e += 8;
     }
-
-    // Fractional digits: multiply the remainder (and all bounds) by ten.
-    // fractionals < 2^60 before each step, so ×10 cannot overflow; the
-    // other products are checked defensively and reject on overflow.
-    loop {
-        fractionals *= 10;
-        unit = unit.checked_mul(10)?;
-        unsafe_interval = unsafe_interval.checked_mul(10)?;
-        out.push((fractionals >> shift) as u8);
-        fractionals &= one_f - 1;
-        if fractionals < unsafe_interval {
-            let dist = dist.checked_mul(unit)?;
-            return round_weed(out, dist, unsafe_interval, fractionals, one_f, unit).then_some(p);
-        }
+    while f.is_multiple_of(100) {
+        f /= 100;
+        e += 2;
     }
+    if f.is_multiple_of(10) {
+        f /= 10;
+        e += 1;
+    }
+    (f, e)
 }
 
-/// Adjusts the last digit toward `w` and decides certainty: `true` only if
-/// the emitted string is provably strictly inside the interval and provably
-/// the closest representable choice. `rest` and `ten_kappa` are in the same
-/// scale as `unsafe_interval`; `dist` is the (scaled) distance from the
-/// emitted-digits origin (`too_high`) to `w`.
-fn round_weed(
-    out: &mut [u8],
-    dist: u64,
-    unsafe_interval: u64,
-    mut rest: u64,
-    ten_kappa: u64,
-    unit: u64,
-) -> bool {
-    // The true w lies within ±unit of dist; weed against the pessimistic
-    // (small) and optimistic (big) positions.
-    let Some(small) = dist.checked_sub(unit) else {
-        return false;
-    };
-    let Some(big) = dist.checked_add(unit) else {
-        return false;
-    };
-    // Decrement the last digit while the decremented candidate is still
-    // certainly closer to w (and stays inside the interval).
-    while rest < small
-        && unsafe_interval - rest >= ten_kappa
-        && (rest + ten_kappa < small || small - rest >= rest + ten_kappa - small)
-    {
-        let last = out.last_mut().expect("at least one digit emitted");
-        if *last == 0 {
-            // Would need to borrow from an earlier digit; the exact engine
-            // handles this rare shape.
-            return false;
-        }
-        *last -= 1;
-        rest += ten_kappa;
+/// `"00"`, `"01"`, …, `"99"`.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
     }
-    // Ambiguity check: if the *optimistic* w would have weeded further, the
-    // two error extremes disagree on the digit — reject.
-    if rest < big
-        && unsafe_interval - rest >= ten_kappa
-        && (rest + ten_kappa < big || big - rest > rest + ten_kappa - big)
-    {
-        return false;
+    pairs
+};
+
+/// Writes the decimal digits of `f` (no leading zeros) to the end of `buf`
+/// two at a time and returns them.
+pub(crate) fn ascii_digits(mut f: u64, buf: &mut [u8; 20]) -> &[u8] {
+    let mut i = buf.len();
+    while f >= 100 {
+        let pair = 2 * (f % 100) as usize;
+        f /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     }
-    // Certainty: the candidate must clear the interval ends by 2·unit
-    // (1 unit of interval error + 1 unit of its own position error).
-    unsafe_interval >= 4 * unit && 2 * unit <= rest && rest <= unsafe_interval - 4 * unit
+    if f >= 10 {
+        let pair = 2 * f as usize;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        i -= 1;
+        buf[i] = b'0' + f as u8;
+    }
+    &buf[i..]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fpp_bignum::Nat;
     use fpp_float::FloatFormat;
-    use std::cmp::Ordering;
 
-    /// Every cached entry must be the round-to-nearest 64-bit significand
-    /// of 10^k: normalized, and within half an ulp of the exact power,
-    /// checked with exact bignum interval arithmetic (not by re-running the
-    /// generator): `|10^k − f·2^e| ≤ 2^{e−1}` is verified as
-    /// `(2f−1)·2^e ≤ 2·10^k ≤ (2f+1)·2^e` in integers.
+    /// `a^x` as an exact fraction `(numerator, denominator)`.
+    fn power(a: u64, x: i32) -> (Nat, Nat) {
+        let p = Nat::u64_pow(a, x.unsigned_abs());
+        if x >= 0 {
+            (p, Nat::one())
+        } else {
+            (Nat::one(), p)
+        }
+    }
+
+    /// `n1/d1 ≤ n2/d2` on exact fractions.
+    fn le(a: &(Nat, Nat), b: &(Nat, Nat)) -> bool {
+        &a.0 * &b.1 <= &b.0 * &a.1
+    }
+
+    /// Both estimators pin `k` exactly: `10^k ≤ x < 10^(k+1)` with
+    /// `x = 2^e` or `x = ¾·2^e`, over every exponent a `binary64`
+    /// boundary can carry.
     #[test]
-    fn cached_powers_match_bignum_exponentiation() {
-        let table = &*CACHED_POWERS;
-        assert_eq!(
-            table.len(),
-            ((CACHE_LAST_K - CACHE_FIRST_K) as usize / CACHE_STEP) + 1
-        );
-        for entry in table {
-            assert!(entry.f >= 1 << 63, "10^{} not normalized", entry.k);
-            // 2f ∓ 1 as exact integers (2f itself can overflow u64).
-            let mut sig = Nat::zero();
-            sig.assign_u64(entry.f);
-            let mut lo = &sig << 1_u32;
-            lo.sub_u64(1);
-            let mut hi = &sig << 1_u32;
-            hi.add_u64(1);
-            let e = entry.e;
-            if entry.k >= 0 {
-                // Compare against 2·10^k, clearing any negative exponent by
-                // shifting the power side instead of the bounds.
-                let mut pow = Nat::u64_pow(10, entry.k as u32);
-                pow <<= 1;
-                if e >= 0 {
-                    lo <<= e as u32;
-                    hi <<= e as u32;
-                } else {
-                    pow <<= (-e) as u32;
-                }
-                assert!(
-                    lo <= pow && pow <= hi,
-                    "10^{} outside the half-ulp bound",
-                    entry.k
-                );
-            } else {
-                // 10^k = 1/10^m with e < 0 always: multiply the bound
-                // through by 10^m · 2^(−e) to get
-                // (2f−1)·10^m ≤ 2^(1−e) ≤ (2f+1)·10^m.
-                let den = Nat::u64_pow(10, (-entry.k) as u32);
-                let mut lhs = Nat::zero();
-                lo.mul_into(&den, &mut lhs);
-                let mut rhs = Nat::zero();
-                hi.mul_into(&den, &mut rhs);
-                let mut two = Nat::zero();
-                two.assign_pow2((1 - e) as u32);
-                assert!(
-                    lhs <= two && two <= rhs,
-                    "10^{} outside the half-ulp bound",
-                    entry.k
-                );
+    fn decimal_exponent_estimators_are_exact() {
+        for e in -1100..=1000 {
+            let two = power(2, e);
+            let three_quarters = (&two.0 * 3u64, &two.1 << 2);
+            for (x, k) in [
+                (two, floor_log10_pow2(e)),
+                (three_quarters, floor_log10_three_quarters_pow2(e)),
+            ] {
+                assert!(le(&power(10, k), &x), "10^{k} above x at e = {e}");
+                assert!(!le(&power(10, k + 1), &x), "10^{} ≤ x at e = {e}", k + 1);
             }
         }
     }
 
-    /// The window guarantee: every binary exponent in the cached range
-    /// finds a power landing in [ALPHA, GAMMA], including all exponents
-    /// produced by normalized f64/f32 boundaries.
-    #[test]
-    fn cached_power_window_covers_float_exponents() {
-        for e in -1200..=960 {
-            if let Some((c, _)) = cached_power_for(e) {
-                let scaled = e + c.e + 64;
-                assert!(
-                    (ALPHA..=GAMMA).contains(&scaled),
-                    "window miss at binary exponent {e}"
-                );
-            }
-        }
-        for v in [5e-324, f64::MIN_POSITIVE, 1.0, 1e23, f64::MAX] {
-            let (_, m, e) = v.decode().finite_parts().unwrap();
-            let plus = normalize(2 * m + 1, e - 1);
-            assert!(cached_power_for(plus.e).is_some(), "no power for {v}");
+    fn nearest_even(c: u64) -> Inclusivity {
+        let ok = c.is_multiple_of(2);
+        Inclusivity {
+            low_ok: ok,
+            high_ok: ok,
         }
     }
 
-    fn digits_of(v: f64) -> Option<(Vec<u8>, i32)> {
-        let (negative, m, e) = v.decode().finite_parts().unwrap();
-        assert!(!negative);
-        let narrow = m == 1 << (f64::PRECISION - 1) && e > f64::MIN_EXP;
-        let mut out = Vec::new();
-        let k = try_shortest_into(m, e, narrow, &mut out)?;
-        Some((out, k))
+    fn digits_of<F: FloatFormat>(v: F) -> (u64, i32) {
+        let (_, c, q) = v.decode().finite_parts().unwrap();
+        let narrow = c == 1 << (F::PRECISION - 1) && q > F::MIN_EXP;
+        shortest(c, q, narrow, nearest_even(c), TieBreak::Up)
     }
 
     #[test]
-    fn known_values_accepted_with_correct_digits() {
-        assert_eq!(digits_of(0.3), Some((vec![3], 0)));
-        assert_eq!(digits_of(1.0), Some((vec![1], 1)));
-        assert_eq!(digits_of(100.0), Some((vec![1], 3)));
-        assert_eq!(digits_of(0.1), Some((vec![1], 0)));
-        assert_eq!(digits_of(1.5), Some((vec![1, 5], 1)));
-        assert_eq!(
-            digits_of(std::f64::consts::PI),
-            Some((vec![3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3], 1))
-        );
+    fn known_values() {
+        assert_eq!(digits_of(0.3), (3, -1));
+        assert_eq!(digits_of(1.0), (1, 0));
+        assert_eq!(digits_of(100.0), (1, 2));
+        // 0.1 comes out as 10^16 × 10^−17: sixteen zeros to strip.
+        assert_eq!(digits_of(0.1), (1, -1));
+        assert_eq!(digits_of(1.5), (15, -1));
+        assert_eq!(digits_of(std::f64::consts::PI), (3141592653589793, -15));
+        assert_eq!(digits_of(f64::MAX), (17976931348623157, 292));
+        assert_eq!(digits_of(f64::MIN_POSITIVE), (22250738585072014, -324));
+        // The interval end 10^23 is admitted: the mantissa is even.
+        assert_eq!(digits_of(1e23), (1, 23));
+        assert_eq!(digits_of(0.1f32), (1, -1));
+        assert_eq!(digits_of(f32::MAX), (34028235, 31));
+    }
+
+    /// The smallest subnormals have one-digit `s`; the multiple-of-10 test
+    /// must still run (no `s ≥ 100` guard) and 1e-323 must come out short.
+    #[test]
+    fn smallest_subnormals() {
+        assert_eq!(digits_of(5e-324), (5, -324));
+        assert_eq!(digits_of(1e-323), (1, -323));
+        assert_eq!(digits_of(1.5e-323), (15, -324));
+        assert_eq!(digits_of(f32::from_bits(1)), (1, -45));
+        assert_eq!(digits_of(f32::from_bits(2)), (3, -45));
     }
 
     #[test]
-    fn endpoint_and_extreme_values_reject_or_match() {
-        // 1e23 is an exact endpoint case: the certain answer depends on
-        // endpoint inclusivity, so the fast path must reject it.
-        assert_eq!(digits_of(1e23), None);
-        // Denormals and extremes either reject or agree with the engine.
-        for v in [5e-324, f64::from_bits(1234), f64::MIN_POSITIVE, f64::MAX] {
-            if let Some((digits, _)) = digits_of(v) {
-                assert!(digits[0] != 0 && *digits.last().unwrap() != 0, "{v}");
-                assert!(digits.iter().all(|&d| d < 10), "{v}");
-            }
-        }
-    }
-
-    #[test]
-    fn accepted_digits_have_no_trailing_zero() {
-        // Trailing zeros can never be "certainly closest": sample broadly.
-        let mut rejected = 0u32;
-        for i in 1..20_000u64 {
-            let v = f64::from_bits(0x3FF0_0000_0000_0000 + i * 0x000F_FFFF_FFF1);
-            let Some((digits, _)) = digits_of(v) else {
-                rejected += 1;
-                continue;
-            };
-            assert!(*digits.last().unwrap() != 0, "trailing zero for {v}");
-        }
-        assert!(rejected < 2_000, "rejection rate too high: {rejected}");
-    }
-
-    #[test]
-    fn mul_rounds_half_up() {
-        let a = DiyFp { f: 1 << 63, e: 0 };
-        let b = DiyFp { f: 3, e: 0 };
-        // (2^63 × 3) / 2^64 = 1.5 → rounds to 2.
-        assert_eq!(mul(a, b).f, 2);
-        assert_eq!(mul(a, b).e, 64);
-        let c = DiyFp {
-            f: u64::MAX,
-            e: -64,
+    fn inclusivity_decides_endpoint_hits() {
+        // 1e23 is exactly the upper end of its double's interval.
+        let (_, c, q) = 1e23f64.decode().finite_parts().unwrap();
+        let exclusive = Inclusivity {
+            low_ok: false,
+            high_ok: false,
         };
-        let d = mul(c, c);
-        // (2^64−1)² / 2^64 = 2^64 − 2 + 1/2^64 → high part 2^64 − 2, low
-        // part 1 (below half) → no round-up.
-        assert_eq!(d.f, u64::MAX - 1);
-        assert_eq!(d.e, -64);
-        assert_eq!(normalize(1, 0), DiyFp { f: 1 << 63, e: -63 });
+        assert_eq!(
+            shortest(c, q, false, exclusive, TieBreak::Up),
+            (9999999999999999, 7)
+        );
+    }
+
+    /// `v = (2^52 + 1)/4` is `s + ½` in units of `10^−1` with both `s` and
+    /// `s + 1` inside the interval: a true tie at the last digit.
+    #[test]
+    fn ties_follow_the_tie_break() {
+        let v = ((1u64 << 52) + 1) as f64 / 4.0;
+        let (_, c, q) = v.decode().finite_parts().unwrap();
+        assert_eq!((c, q), ((1 << 52) + 1, -2));
+        for (tie, f) in [
+            (TieBreak::Up, 11258999068426243),
+            (TieBreak::Down, 11258999068426242),
+            (TieBreak::Even, 11258999068426242),
+        ] {
+            assert_eq!(shortest(c, q, false, nearest_even(c), tie), (f, -1));
+        }
     }
 
     #[test]
-    fn ordering_helper_used() {
-        // double_cmp is Ordering-based; keep the import honest.
-        let mut a = Nat::zero();
-        a.assign_u64(3);
-        let mut b = Nat::zero();
-        b.assign_u64(6);
-        assert_eq!(a.double_cmp(&b), Ordering::Equal);
+    fn strips_and_writes_digits() {
+        assert_eq!(strip_zeros(10_000_000_000_000_000, -17), (1, -1));
+        assert_eq!(strip_zeros(120, 0), (12, 1));
+        assert_eq!(strip_zeros(7, 3), (7, 3));
+        let mut buf = [0u8; 20];
+        assert_eq!(ascii_digits(0, &mut buf), b"0");
+        assert_eq!(ascii_digits(7, &mut buf), b"7");
+        assert_eq!(ascii_digits(42, &mut buf), b"42");
+        assert_eq!(ascii_digits(12345, &mut buf), b"12345");
+        assert_eq!(
+            ascii_digits(u64::MAX, &mut buf),
+            b"18446744073709551615".as_slice()
+        );
     }
 }

@@ -7,6 +7,20 @@ use crate::scale::{initial_state, InitialState, ScalingStrategy};
 use fpp_bignum::PowerTable;
 use fpp_float::{RoundingMode, SoftFloat};
 
+/// The endpoint-inclusivity flags of a nearest-family reader rounding
+/// mode (`None` for the directed modes, which reshape the interval itself).
+/// `mantissa_even` settles round-half-to-even.
+pub(crate) fn nearest_inclusivity(mode: RoundingMode, mantissa_even: bool) -> Option<Inclusivity> {
+    let (low_ok, high_ok) = match mode {
+        RoundingMode::NearestEven => (mantissa_even, mantissa_even),
+        RoundingMode::NearestAwayFromZero => (true, false),
+        RoundingMode::NearestTowardZero => (false, true),
+        RoundingMode::Conservative => (false, false),
+        RoundingMode::TowardZero | RoundingMode::AwayFromZero => return None,
+    };
+    Some(Inclusivity { low_ok, high_ok })
+}
+
 /// Derives the endpoint-inclusivity flags for a value under a reader
 /// rounding mode, adjusting the half-gap numerators for the directed modes
 /// (whose rounding ranges are `[v, v⁺)` / `(v⁻, v]` rather than the
@@ -17,25 +31,6 @@ pub(crate) fn apply_rounding_mode(
     mode: RoundingMode,
 ) -> Inclusivity {
     match mode {
-        RoundingMode::NearestEven => {
-            let ok = v.mantissa_is_even();
-            Inclusivity {
-                low_ok: ok,
-                high_ok: ok,
-            }
-        }
-        RoundingMode::NearestAwayFromZero => Inclusivity {
-            low_ok: true,
-            high_ok: false,
-        },
-        RoundingMode::NearestTowardZero => Inclusivity {
-            low_ok: false,
-            high_ok: true,
-        },
-        RoundingMode::Conservative => Inclusivity {
-            low_ok: false,
-            high_ok: false,
-        },
         RoundingMode::TowardZero => {
             // Range [v, v⁺): everything at or above v up to the successor.
             state.m_plus.mul_u64(2);
@@ -54,6 +49,7 @@ pub(crate) fn apply_rounding_mode(
                 high_ok: true,
             }
         }
+        nearest => nearest_inclusivity(nearest, v.mantissa_is_even()).expect("nearest mode"),
     }
 }
 

@@ -34,7 +34,7 @@ pub enum TieBreak {
 
 impl TieBreak {
     /// Whether a tie at final digit `d` should round up to `d + 1`.
-    fn rounds_up(self, d: u8) -> bool {
+    pub(crate) fn rounds_up(self, d: u8) -> bool {
         match self {
             TieBreak::Up => true,
             TieBreak::Down => false,

@@ -54,6 +54,11 @@
 //! * [`FreeFormat`] / [`FixedFormat`] — high-level builders over the above
 //!   (sign/zero/NaN handling); their `String` conveniences borrow a
 //!   thread-local [`DtoaContext`] via [`with_thread_context`].
+//! * The Schubfach fast tier ([`FreeFormat::try_write_fast`]) — base-10
+//!   shortest output from one 64×128-bit product per interval end against
+//!   the static [`fpp_float::pow10`] table, byte-identical to the exact
+//!   engine for the nearest-family rounding modes; `write_to` takes it
+//!   whenever the configuration allows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -268,11 +273,10 @@ impl FreeFormat {
         }
     }
 
-    /// Enables or disables the Grisu-style fixed-precision fast path
-    /// (enabled by default). The fast path only ever produces digits it can
-    /// prove identical to the exact engine's, so disabling it changes
-    /// nothing but speed — useful for benchmarking the exact engine and for
-    /// parity tests.
+    /// Enables or disables the Schubfach fast tier (enabled by default).
+    /// The fast tier's output is byte-identical to the exact engine's by
+    /// construction, so disabling it changes nothing but speed — useful for
+    /// benchmarking the exact engine and for parity tests.
     #[must_use]
     pub fn fast_path(mut self, enabled: bool) -> Self {
         self.fast_path = enabled;
@@ -346,31 +350,25 @@ impl FreeFormat {
         })
     }
 
-    /// Whether this configuration can be answered by the fast path at all:
-    /// base 10, the paper's estimate scaler, and a nearest-family reader.
-    /// Directed modes reshape the rounding interval itself, so the Grisu
-    /// interval arithmetic does not apply to them.
+    /// Whether the fast tier serves this configuration: base 10, the
+    /// paper's estimate scaler, and a nearest-family reader. Directed modes
+    /// reshape the rounding interval itself and stay with the exact engine.
     fn fast_path_eligible(&self) -> bool {
         self.fast_path
             && self.base == 10
             && self.strategy == ScalingStrategy::Estimate
-            && matches!(
-                self.rounding,
-                RoundingMode::NearestEven
-                    | RoundingMode::NearestAwayFromZero
-                    | RoundingMode::NearestTowardZero
-                    | RoundingMode::Conservative
-            )
+            && free::nearest_inclusivity(self.rounding, true).is_some()
     }
 
-    /// Attempts the Grisu-style fixed-precision fast path: returns `true`
-    /// and writes the full formatted value (sign, digits, layout) when the
-    /// fast path *proves* its digits match the exact engine's, `false` with
-    /// `sink` untouched when the value must go through the exact engine.
-    /// Specials (`NaN`, infinities, zeros) are always written directly.
+    /// Runs the Schubfach fast tier: writes the full formatted value (sign,
+    /// digits, layout) and returns `true` for every value when the
+    /// configuration is eligible (base 10, [`ScalingStrategy::Estimate`], a
+    /// nearest-family rounding mode, fast path enabled); returns `false`
+    /// with `sink` untouched otherwise. Specials (`NaN`, infinities, zeros)
+    /// are always written directly.
     ///
     /// [`FreeFormat::write_to`] already calls this internally; it is public
-    /// so benchmarks can measure acceptance directly.
+    /// so benchmarks can time the fast tier on its own.
     ///
     /// # Panics
     ///
@@ -396,31 +394,26 @@ impl FreeFormat {
         }
         let (negative, mantissa, exponent) = decoded.finite_parts().expect("finite");
         let narrow = mantissa == 1 << (F::PRECISION - 1) && exponent > F::MIN_EXP;
-        ctx.ws.digits.clear();
-        let Some(k) = fastpath::try_shortest_into(mantissa, exponent, narrow, &mut ctx.ws.digits)
-        else {
-            fpp_telemetry::record_fastpath(false);
-            return false;
-        };
-        fpp_telemetry::record_fastpath(true);
+        let inc =
+            free::nearest_inclusivity(self.rounding, mantissa.is_multiple_of(2)).expect("eligible");
+        let (f, e) = fastpath::shortest(mantissa, exponent, narrow, inc, self.tie);
+        fpp_telemetry::record_fastpath();
         if negative {
             sink.push(b'-');
         }
-        render_into(
-            sink,
-            &ctx.ws.digits,
-            k,
-            self.notation,
-            self.base,
-            &self.style,
-        );
+        let mut buf = [0u8; 20];
+        let digits = fastpath::ascii_digits(f, &mut buf);
+        let k = e + digits.len() as i32;
+        notation::render_ascii_into(sink, digits, k, self.notation, &self.style);
         true
     }
 
     /// Writes the formatted value into `sink`, reusing `ctx`'s buffers —
     /// byte-identical to [`FreeFormat::format_float`], without allocating
-    /// once the context is warm. Tries the fast path first (unless disabled
-    /// via [`FreeFormat::fast_path`]), then the exact engine.
+    /// once the context is warm. Eligible configurations (see
+    /// [`FreeFormat::try_write_fast`]) take the Schubfach fast tier; the
+    /// exact Burger–Dybvig engine serves every other base, scaling
+    /// strategy and rounding mode, and `fast_path(false)`.
     ///
     /// # Panics
     ///

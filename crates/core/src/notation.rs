@@ -15,6 +15,7 @@
 use crate::fixed::FixedDigits;
 use crate::generate::Digits;
 use crate::sink::DigitSink;
+use std::ops::Range;
 
 const DIGIT_CHARS: &[u8] = b"0123456789abcdefghijklmnopqrstuvwxyz";
 
@@ -182,10 +183,39 @@ pub fn render_into(
     base: u64,
     opts: &RenderOptions,
 ) {
+    let source = Source::Values {
+        digits,
+        hashes: 0,
+        hash_marks: true,
+    };
+    layout_into(sink, source, k, notation, base, opts);
+}
+
+/// Renders base-10 digits that are already ASCII (`0.d₁d₂… × 10ᵏ`) — the
+/// fast tier's entry into the same layout code.
+pub(crate) fn render_ascii_into(
+    sink: &mut impl DigitSink,
+    ascii: &[u8],
+    k: i32,
+    notation: Notation,
+    opts: &RenderOptions,
+) {
+    layout_into(sink, Source::Ascii(ascii), k, notation, 10, opts);
+}
+
+/// Positional or scientific layout of `source`, as `notation` picks for `k`.
+fn layout_into(
+    sink: &mut impl DigitSink,
+    source: Source<'_>,
+    k: i32,
+    notation: Notation,
+    base: u64,
+    opts: &RenderOptions,
+) {
     if notation.is_positional(k) {
-        positional_into(sink, digits, k, 0, true, opts);
+        positional_into(sink, source, k, opts);
     } else {
-        scientific_into(sink, digits, k, 0, true, base, opts);
+        scientific_into(sink, source, k, base, opts);
     }
 }
 
@@ -233,161 +263,171 @@ pub fn render_fixed_into(
         sink.push(b'0');
         if layout.position < 0 {
             sink.push(b'.');
-            for _ in 0..(-layout.position) {
-                sink.push(b'0');
-            }
+            push_repeated(sink, b'0', layout.position.unsigned_abs() as usize);
         }
         return;
     }
-    if notation.is_positional(layout.k) {
-        positional_into(
-            sink,
-            layout.digits,
-            layout.k,
-            layout.insignificant,
-            layout.hash_marks,
-            opts,
-        );
-    } else {
-        scientific_into(
-            sink,
-            layout.digits,
-            layout.k,
-            layout.insignificant,
-            layout.hash_marks,
-            base,
-            opts,
-        );
+    let source = Source::Values {
+        digits: layout.digits,
+        hashes: layout.insignificant,
+        hash_marks: layout.hash_marks,
+    };
+    layout_into(sink, source, layout.k, notation, base, opts);
+}
+
+/// The output positions of one rendering, emitted in runs through
+/// [`DigitSink::push_slice`].
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    /// ASCII digits, copied as they are.
+    Ascii(&'a [u8]),
+    /// Digit values, then `hashes` insignificant positions printed as `#`
+    /// (or `0` without hash marks).
+    Values {
+        digits: &'a [u8],
+        hashes: usize,
+        hash_marks: bool,
+    },
+}
+
+impl Source<'_> {
+    /// Number of output positions.
+    fn len(self) -> usize {
+        match self {
+            Source::Ascii(ascii) => ascii.len(),
+            Source::Values { digits, hashes, .. } => digits.len() + hashes,
+        }
+    }
+
+    /// Pushes the characters of positions `range`.
+    fn push(self, sink: &mut impl DigitSink, range: Range<usize>) {
+        match self {
+            Source::Ascii(ascii) => sink.push_slice(&ascii[range]),
+            Source::Values {
+                digits, hash_marks, ..
+            } => {
+                let from = range.start.min(digits.len());
+                let split = range.end.min(digits.len()).max(from);
+                let mut buf = [0u8; 32];
+                for chunk in digits[from..split].chunks(buf.len()) {
+                    for (b, &d) in buf.iter_mut().zip(chunk) {
+                        *b = DIGIT_CHARS[usize::from(d)];
+                    }
+                    sink.push_slice(&buf[..chunk.len()]);
+                }
+                let tail = if hash_marks { b'#' } else { b'0' };
+                push_repeated(sink, tail, range.len() - (split - from));
+            }
+        }
+    }
+
+    /// Pushes integer positions `range`: digits while there are any, then
+    /// the zeros that pad the integer part past them.
+    fn push_integer(self, sink: &mut impl DigitSink, range: Range<usize>) {
+        let split = range.end.min(self.len()).max(range.start);
+        if split > range.start {
+            self.push(sink, range.start..split);
+        }
+        push_repeated(sink, b'0', range.end - split);
     }
 }
 
-/// The ASCII byte for output position `idx`: a digit, then `#`/`0` for the
-/// insignificant tail.
-fn position_byte(digits: &[u8], idx: usize, hash_marks: bool) -> u8 {
-    if idx < digits.len() {
-        DIGIT_CHARS[digits[idx] as usize]
-    } else if hash_marks {
-        b'#'
-    } else {
-        b'0'
+/// Pushes `n` copies of the ASCII byte `byte`.
+fn push_repeated(sink: &mut impl DigitSink, byte: u8, mut n: usize) {
+    let run = [byte; 32];
+    while n > 0 {
+        let len = n.min(run.len());
+        sink.push_slice(&run[..len]);
+        n -= len;
     }
 }
 
 /// Pushes a (possibly multi-byte) separator character.
 fn push_char(sink: &mut impl DigitSink, c: char) {
-    let mut buf = [0u8; 4];
-    sink.push_slice(c.encode_utf8(&mut buf).as_bytes());
+    if c.is_ascii() {
+        sink.push(c as u8);
+    } else {
+        let mut buf = [0u8; 4];
+        sink.push_slice(c.encode_utf8(&mut buf).as_bytes());
+    }
 }
 
-/// Pushes the decimal digits of `v`, zero-padded to at least `min_width`.
-fn push_u32_padded(sink: &mut impl DigitSink, mut v: u32, min_width: usize) {
-    let mut buf = [0u8; 10];
+/// Pushes the exponent field (`e5`, `E-5`, `e+05`, …) for value `exp` as
+/// one run.
+fn push_exponent(sink: &mut impl DigitSink, marker: char, exp: i32, style: ExponentStyle) {
+    let (marker, plus, min_width) = match style {
+        ExponentStyle::Minimal => (marker as u8, false, 1),
+        ExponentStyle::Uppercase => (marker.to_ascii_uppercase() as u8, false, 1),
+        ExponentStyle::PrintfSigned => (marker as u8, true, 2),
+    };
+    let mut buf = [0u8; 16];
     let mut i = buf.len();
-    loop {
+    let mut v = exp.unsigned_abs();
+    while v > 0 || buf.len() - i < min_width {
         i -= 1;
         buf[i] = b'0' + (v % 10) as u8;
         v /= 10;
-        if v == 0 {
-            break;
-        }
     }
-    while buf.len() - i < min_width {
+    if exp < 0 || plus {
         i -= 1;
-        buf[i] = b'0';
+        buf[i] = if exp < 0 { b'-' } else { b'+' };
     }
+    i -= 1;
+    buf[i] = marker;
     sink.push_slice(&buf[i..]);
 }
 
-/// Pushes the exponent field (`e5`, `E-5`, `e+05`, …) for value `exp`.
-fn push_exponent(sink: &mut impl DigitSink, marker: char, exp: i32, style: ExponentStyle) {
-    match style {
-        ExponentStyle::Minimal => {
-            sink.push(marker as u8);
-            if exp < 0 {
-                sink.push(b'-');
-            }
-            push_u32_padded(sink, exp.unsigned_abs(), 1);
-        }
-        ExponentStyle::Uppercase => {
-            sink.push(marker.to_ascii_uppercase() as u8);
-            if exp < 0 {
-                sink.push(b'-');
-            }
-            push_u32_padded(sink, exp.unsigned_abs(), 1);
-        }
-        ExponentStyle::PrintfSigned => {
-            sink.push(marker as u8);
-            sink.push(if exp < 0 { b'-' } else { b'+' });
-            push_u32_padded(sink, exp.unsigned_abs(), 2);
-        }
-    }
-}
-
-/// Positional layout of `0.d₁d₂… × Bᵏ` followed by `hashes` insignificant
-/// marks, with grouping and separator styling applied on the fly.
-fn positional_into(
-    sink: &mut impl DigitSink,
-    digits: &[u8],
-    k: i32,
-    hashes: usize,
-    hash_marks: bool,
-    opts: &RenderOptions,
-) {
-    let total = digits.len() + hashes; // digit positions k-1 down to k-total
+/// Positional layout of `0.d₁d₂… × Bᵏ`, with grouping and separator
+/// styling applied on the fly.
+fn positional_into(sink: &mut impl DigitSink, source: Source<'_>, k: i32, opts: &RenderOptions) {
+    let total = source.len(); // digit positions k-1 down to k-total
     if k <= 0 {
         // Integer part is the single digit 0 (never grouped).
         sink.push(b'0');
         push_char(sink, opts.decimal_separator);
-        for _ in 0..(-k) {
-            sink.push(b'0');
-        }
-        for i in 0..total {
-            sink.push(position_byte(digits, i, hash_marks));
-        }
-    } else {
-        // Integer part spans positions 0..k, padded with zeros past the
-        // generated digits; grouping counts every integer position,
-        // padding included.
-        let int_len = k as usize;
-        for i in 0..int_len {
-            if i > 0 && (int_len - i).is_multiple_of(3) {
-                if let Some(sep) = opts.group_separator {
+        push_repeated(sink, b'0', k.unsigned_abs() as usize);
+        source.push(sink, 0..total);
+        return;
+    }
+    // Integer part spans positions 0..k, padded with zeros past the
+    // generated digits; grouping counts every integer position, padding
+    // included.
+    let int_len = k as usize;
+    match opts.group_separator {
+        None => source.push_integer(sink, 0..int_len),
+        Some(sep) => {
+            let mut start = 0;
+            let mut end = (int_len - 1) % 3 + 1;
+            while start < int_len {
+                if start > 0 {
                     push_char(sink, sep);
                 }
-            }
-            sink.push(if i < total {
-                position_byte(digits, i, hash_marks)
-            } else {
-                b'0'
-            });
-        }
-        if int_len < total {
-            push_char(sink, opts.decimal_separator);
-            for i in int_len..total {
-                sink.push(position_byte(digits, i, hash_marks));
+                source.push_integer(sink, start..end);
+                start = end;
+                end += 3;
             }
         }
     }
+    if int_len < total {
+        push_char(sink, opts.decimal_separator);
+        source.push(sink, int_len..total);
+    }
 }
 
-/// Scientific layout `d₁.d₂…e(k−1)` followed by insignificant marks inside
-/// the fraction when present.
+/// Scientific layout `d₁.d₂…e(k−1)` (insignificant marks, when present,
+/// sit inside the fraction).
 fn scientific_into(
     sink: &mut impl DigitSink,
-    digits: &[u8],
+    source: Source<'_>,
     k: i32,
-    hashes: usize,
-    hash_marks: bool,
     base: u64,
     opts: &RenderOptions,
 ) {
-    let total = digits.len() + hashes;
-    sink.push(position_byte(digits, 0, hash_marks));
+    let total = source.len();
+    source.push(sink, 0..1);
     if total > 1 {
         push_char(sink, opts.decimal_separator);
-        for i in 1..total {
-            sink.push(position_byte(digits, i, hash_marks));
-        }
+        source.push(sink, 1..total);
     }
     push_exponent(sink, exponent_marker(base), k - 1, opts.exponent_style);
 }
@@ -457,6 +497,14 @@ mod tests {
         };
         assert_eq!(render_fixed(&fd, Notation::Positional), "0.333###");
         assert_eq!(render_fixed(&fd, Notation::Scientific), "3.33###e-1");
+        // A fraction made only of marks.
+        let marks_only = FixedDigits {
+            digits: vec![3],
+            k: 0,
+            insignificant: 2,
+            position: -3,
+        };
+        assert_eq!(render_fixed(&marks_only, Notation::Scientific), "3.##e-1");
         // hash_marks = false prints the insignificant tail as zeros.
         let mut out = Vec::new();
         render_fixed_into(
@@ -510,6 +558,11 @@ mod tests {
         assert_eq!(
             render_styled(&free(&[1, 2, 3, 4], 4), Notation::Positional, 10, &grouped),
             "1_234"
+        );
+        // Groups made only of padding zeros, past the last digit.
+        assert_eq!(
+            render_styled(&free(&[1, 2], 10), Notation::Positional, 10, &grouped),
+            "1_200_000_000"
         );
     }
 

@@ -14,6 +14,9 @@
 //!   exponent range, the canonical input to the printing algorithm. It also
 //!   models formats no hardware provides (e.g. base-16 floats, tiny toy
 //!   formats used by the test suite to enumerate *every* value exhaustively).
+//! * [`pow10`] — the static table of 128-bit power-of-ten significands
+//!   shared by the shortest printer's fast tier, the Eisel–Lemire reader
+//!   and the verified fixed-format baseline.
 //! * exact boundary computation — `v⁺`, `v⁻` and the half-gap midpoints
 //!   `(v + v⁺)/2`, `(v⁻ + v)/2` as exact rationals (§2.2's `high`/`low`).
 //!
@@ -42,6 +45,8 @@ mod half;
 mod ieee;
 mod rounding;
 mod soft;
+
+pub mod pow10;
 
 pub use decoded::Decoded;
 pub use half::{Bf16, F16};

@@ -117,12 +117,11 @@ metric_enum! {
         /// Violations of the §3.2 contract observed by the digit loop
         /// (estimate off by more than one). Must stay 0.
         CoreScaleViolations => "core_scale_violations",
-        /// Conversions answered entirely by the Grisu-style fixed-precision
-        /// fast path (no big-integer work).
+        /// Conversions answered by the Schubfach fast tier (no big-integer
+        /// work). It never rejects a value, so every finite value of an
+        /// eligible configuration lands here and none in
+        /// `core_conversions`.
         CoreFastPathHits => "core_fastpath_hits",
-        /// Fast-path attempts rejected as uncertain, falling back to the
-        /// exact Burger–Dybvig engine.
-        CoreFastPathFallbacks => "core_fastpath_fallbacks",
         /// Buffers handed out by the scratch arena.
         ScratchTakes => "scratch_takes",
         /// Buffers returned to the scratch arena.
@@ -447,19 +446,10 @@ pub fn record_scale_violation() {
     imp::add(Counter::CoreScaleViolations, 1);
 }
 
-/// Records one scalar fast-path attempt on a finite value: `hit` is true
-/// when the Grisu-style fast path produced the digits itself, false when it
-/// rejected the value as uncertain and the exact engine ran instead.
+/// Records one finite value printed by the Schubfach fast tier.
 #[inline(always)]
-pub fn record_fastpath(hit: bool) {
-    imp::add(
-        if hit {
-            Counter::CoreFastPathHits
-        } else {
-            Counter::CoreFastPathFallbacks
-        },
-        1,
-    );
+pub fn record_fastpath() {
+    imp::add(Counter::CoreFastPathHits, 1);
 }
 
 /// Records a scratch-arena take; `recycled` is false when the pool was
@@ -629,16 +619,6 @@ impl TelemetrySnapshot {
     #[must_use]
     pub fn gauge(&self, g: Gauge) -> u64 {
         self.gauges[g as usize]
-    }
-
-    /// Fraction of scalar fast-path attempts the fast path answered itself
-    /// (0 when no attempts were recorded).
-    #[must_use]
-    pub fn fastpath_hit_rate(&self) -> f64 {
-        ratio(
-            self.get(Counter::CoreFastPathHits),
-            self.get(Counter::CoreFastPathHits) + self.get(Counter::CoreFastPathFallbacks),
-        )
     }
 
     /// Fraction of finite reads answered without big-integer work (Clinger
@@ -918,17 +898,15 @@ mod tests {
             // pauses included) and resumes cleanly afterwards.
             with_recording_paused(|| {
                 record_generation(9, Termination::Low);
-                with_recording_paused(|| record_fastpath(true));
-                record_fastpath(false);
+                with_recording_paused(record_fastpath);
+                record_fastpath();
             });
-            record_fastpath(true);
-            record_fastpath(false);
+            record_fastpath();
             let snap = TelemetrySnapshot::capture();
-            assert_eq!(snap.get(Counter::CoreFastPathHits), 1, "paused hit dropped");
             assert_eq!(
-                snap.get(Counter::CoreFastPathFallbacks),
+                snap.get(Counter::CoreFastPathHits),
                 1,
-                "paused fallback dropped"
+                "paused hits dropped"
             );
             assert_eq!(snap.get(Counter::CoreConversions), 3);
             assert_eq!(snap.get(Counter::CoreDigitsEmitted), 39);

@@ -112,9 +112,9 @@ fn sink_conversions_are_allocation_free_after_warm_up() {
         "steady-state conversions must not allocate"
     );
 
-    // Both routes through `FreeFormat` hold the same bar: the Grisu-style
-    // fast path (stack-only by construction) and the exact fallback
-    // (forced via `.fast_path(false)`), byte-identical to each other.
+    // Both routes through `FreeFormat` hold the same bar: the Schubfach
+    // fast tier (stack-only by construction) and the exact engine (forced
+    // via `.fast_path(false)`), byte-identical to each other.
     let fast = FreeFormat::new();
     let exact = FreeFormat::new().fast_path(false);
     let mut fast_buf = [0u8; 512];

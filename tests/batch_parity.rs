@@ -4,13 +4,11 @@
 //! per-value/serializer frontends — must reproduce [`fpp::print_shortest`]'s
 //! exact bytes over the Schryer hard cases, the special-value gallery
 //! (signed zeros, subnormals, infinities, NaN), duplicate-heavy columns, and
-//! the values the fast tier rejects. Buffer-reuse stability is asserted here too;
-//! the steady-state *zero-allocation* proof lives with the counting global
-//! allocator in `tests/alloc_count.rs`.
+//! the inputs the earlier Grisu tier rejected. Buffer-reuse stability is
+//! asserted here too; the steady-state *zero-allocation* proof lives with the
+//! counting global allocator in `tests/alloc_count.rs`.
 
 use fpp::batch::{BatchFormatter, BatchOptions, BatchOutput};
-use fpp::core::DtoaContext;
-use fpp::float::FloatFormat;
 use fpp::testgen::{special_values, SchryerSet};
 use fpp::{print_shortest, FreeFormat};
 
@@ -115,32 +113,107 @@ fn duplicate_heavy_columns_match_print_shortest() {
     assert_parity(&values, &out, "duplicate-heavy sharded");
 }
 
-/// The values of `candidates` the fast tier rejects, i.e. the ones whose
-/// bytes come from the exact engine.
-fn fast_tier_rejections<F: FloatFormat>(candidates: impl IntoIterator<Item = F>) -> Vec<F> {
-    let free = FreeFormat::new();
-    let mut ctx = DtoaContext::new(10);
-    let mut sink = Vec::new();
-    candidates
-        .into_iter()
-        .filter(|&v| {
-            sink.clear();
-            !free.try_write_fast(&mut ctx, &mut sink, v)
-        })
-        .collect()
-}
+/// Inputs the Grisu-style fast tier that preceded Schubfach could not
+/// decide and sent to the exact engine: a Schryer slice, `1e23`, `±5e-324`
+/// and a subnormal scatter (`f64` bit patterns), and an `f32` spread.
+/// They stay pinned as the batch frontends' hardest cases.
+const GRISU_REJECTED_F64: [u64; 79] = [
+    0x0270000000000004,
+    0x0410000000000000,
+    0x04e0100000000000,
+    0x13affffffffffffe,
+    0x18dbffffffffffff,
+    0x1a40000000010000,
+    0x2040000000ff0000,
+    0x2060000010000000,
+    0x24a0000000100000,
+    0x2790000000004000,
+    0x282ffffffffeffff,
+    0x2a41000000000000,
+    0x2c1ffffffffffbff,
+    0x306ffeffffffffff,
+    0x31bfffbfffffffff,
+    0x3470000000000004,
+    0x35d0004000000000,
+    0x3f80010000000000,
+    0x40f00000ff000000,
+    0x4230000000000400,
+    0x431ffffffffffbff,
+    0x431ffbffffffffff,
+    0x435ffffffffffffb,
+    0x435ffffbffffffff,
+    0x4360000010000000,
+    0x48a0000000100000,
+    0x48a000ff00000000,
+    0x4c8fffffffefffff,
+    0x4fcfffffffffefff,
+    0x54dbffffffffffff,
+    0x5f20000000000010,
+    0x6390000000004000,
+    0x68ffffffbfffffff,
+    0x69cfefffffffffff,
+    0x6ac0000100000000,
+    0x6c4fffffefffffff,
+    0x6c80000000000100,
+    0x7200000001000000,
+    0x72ffffffbfffffff,
+    0x7bffffffbfffffff,
+    0x7fe0000000001000,
+    0x0009a0dc76e314bc,
+    0x000f365374bda305,
+    0x000b9e8fed5fc5cf,
+    0x000c3b5c0eb28bb2,
+    0x000c009d874b5876,
+    0x000c62ab2136eb1d,
+    0x00094064a8a7745f,
+    0x000905a621404123,
+    0x0009dd30c9fa3a41,
+    0x000dfe50fdc80989,
+    0x000f72a7c7d4c88a,
+    0x000b035997bcf236,
+    0x000bdae44076eb54,
+    0x000c77b061c9b137,
+    0x000c3cf1da627dfb,
+    0x000c9eff744e10a2,
+    0x0008dfecda6bd401,
+    0x00097cb8fbbe99e4,
+    0x00011f2c81f27ad5,
+    0x000941fa745766a8,
+    0x000e3aa550df2f0e,
+    0x0009a4080e42f94f,
+    0x000faefc1aebee0f,
+    0x000b3fadead417bb,
+    0x000c1738938e10d9,
+    0x000cb404b4e0d6bc,
+    0x000c79462d79a380,
+    0x000cdb53c7653627,
+    0x00091c412d82f986,
+    0x0009b90d4ed5bf69,
+    0x00015b80d509a05a,
+    0x0009e05c615a1ed4,
+    0x000feb506e031394,
+    0x000b7c023deb3d40,
+    0x000cf05907f7fc41,
+    0x000bde0fd7d6cfe7,
+    0x000cb59a8090c905,
+    0x44b52d02c7e14af6,
+];
+
+/// See [`GRISU_REJECTED_F64`].
+const GRISU_REJECTED_F32: [u32; 40] = [
+    0xcc623af3, 0xc6ef3720, 0x49e79dba, 0xc981d9c2, 0xcce00454, 0x4a65671b, 0xcc147c64, 0x4dc391ad,
+    0xcc9245c5, 0xcddb9716, 0xcd100f26, 0xc8e65ca4, 0x488098ac, 0xca2fadf5, 0xc9e1ef66, 0xcc749208,
+    0xca5fb8c7, 0xccf25b69, 0xcc26d379, 0xcca49cda, 0x4c3ed8e2, 0xc87aea58, 0x4a29ffa1, 0x4cbca243,
+    0x47499e70, 0x49dc4112, 0x4a5a0a73, 0xc8dafffc, 0xca24514d, 0x4c512ff7, 0xc9d692be, 0x4ccef958,
+    0xcc693560, 0xca545c1f, 0x4c037168, 0xcce6fec1, 0x4c813ac9, 0xcc1b76d1, 0x4dca8c1a, 0xcc994032,
+];
 
 #[test]
 fn fast_tier_rejections_match_the_per_value_printer() {
-    // About 0.15% of subnormals are rejections; this sample holds dozens.
-    let subnormals =
-        (1..20_000u64).map(|i| f64::from_bits(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 12));
-    let candidates = schryer_workload()
-        .into_iter()
-        .chain([1e23, 5e-324, -5e-324])
-        .chain(subnormals);
-    let values = fast_tier_rejections(candidates);
-    assert!(values.len() >= 10, "only {} rejections", values.len());
+    let values: Vec<f64> = GRISU_REJECTED_F64
+        .iter()
+        .map(|&b| f64::from_bits(b))
+        .collect();
     assert!(values.contains(&1e23));
     assert!(
         values.iter().any(|v| v.abs() < f64::MIN_POSITIVE),
@@ -161,13 +234,10 @@ fn fast_tier_rejections_match_the_per_value_printer() {
     assert_eq!(csv, expected_csv, "write_csv");
 
     let free = FreeFormat::new();
-    let f32_spread = (0u32..20_000).map(|i| f32::from_bits(i.wrapping_mul(0x9E37_79B9)));
-    let values32 = fast_tier_rejections(f32_spread);
-    assert!(
-        values32.len() >= 10,
-        "only {} f32 rejections",
-        values32.len()
-    );
+    let values32: Vec<f32> = GRISU_REJECTED_F32
+        .iter()
+        .map(|&b| f32::from_bits(b))
+        .collect();
     let mut out = BatchOutput::new();
     fmt.format_f32s(&values32, &mut out);
     for (i, &v) in values32.iter().enumerate() {
