@@ -1,12 +1,14 @@
-//! Exact big-integer conversion of a parsed literal to a correctly rounded
-//! hardware float (Clinger's AlgorithmM/AlgorithmR family).
+//! Hardware-format reading: the fast tiers for scanned base-10 literals,
+//! and the adapter that makes every other read the `b = 2` instance of the
+//! one exact reader in [`crate::soft`].
 
 use crate::fast::fast_path;
 use crate::lemire::eisel_lemire;
 use crate::parse::Literal;
 use crate::scan::ScannedDecimal;
+use crate::soft::{round_to_format, Rounded, SoftFormat};
 use fpp_bignum::Nat;
-use fpp_float::{FloatFormat, RoundingMode};
+use fpp_float::{Decoded, FloatFormat, RoundingMode};
 use fpp_telemetry::ReadPath;
 
 /// A finite literal in coefficient–exponent form: the value is
@@ -27,7 +29,7 @@ pub struct DecimalParts {
 
 /// Converts a parsed literal to a correctly rounded float under the given
 /// rounding mode ([`RoundingMode::Conservative`] behaves as
-/// [`RoundingMode::NearestEven`]).
+/// [`RoundingMode::NearestEven`]), through the exact big-integer reader.
 ///
 /// Handles overflow (to infinity, or to the largest finite value under
 /// [`RoundingMode::TowardZero`]) and underflow (to zero, or to the smallest
@@ -42,56 +44,21 @@ pub fn decimal_to_float<F: FloatFormat>(lit: &Literal, base: u64, rounding: Roun
     if parts.digits.is_zero() && !parts.truncated {
         return F::encode(parts.negative, 0, 0);
     }
-    // Fast tiers: base-10 literals with a u64-sized coefficient under
-    // round-to-nearest-even, when the target is a hardware format. Clinger's
-    // one-operation path first (f64 only), then the Eisel–Lemire truncated
-    // product; its rejections fall through to the exact path below.
-    if base == 10 && !parts.truncated && matches!(rounding, RoundingMode::NearestEven) {
-        if F::PRECISION == 53 && F::MIN_EXP == -1074 {
-            if let Ok(d) = u64::try_from(&parts.digits) {
-                if let Some(v) = fast_path(d, parts.exponent) {
-                    fpp_telemetry::record_read(ReadPath::FastPath);
-                    return encode_from_f64::<F>(v, parts.negative);
-                }
-                if let Some(v) = eisel_lemire::<f64>(d, parts.exponent) {
-                    fpp_telemetry::record_read(ReadPath::EiselLemire);
-                    return encode_from_f64::<F>(v, parts.negative);
-                }
-            }
-        } else if F::PRECISION == 24 && F::MIN_EXP == -149 {
-            if let Ok(d) = u64::try_from(&parts.digits) {
-                if let Some(v) = eisel_lemire::<f32>(d, parts.exponent) {
-                    fpp_telemetry::record_read(ReadPath::EiselLemire);
-                    return encode_from_f32::<F>(v, parts.negative);
-                }
-            }
-        }
-    }
     fpp_telemetry::record_read(ReadPath::Exact);
-    convert_exact::<F>(parts, base, rounding)
-}
-
-/// Converts a parsed literal through the exact big-integer path **only**,
-/// skipping every fast tier — the oracle the differential and round-trip
-/// suites (and the `roundtrip` bench's baseline) compare against. Output is
-/// bit-identical to [`decimal_to_float`] for every input, by construction:
-/// the fast tiers reject rather than approximate.
-#[must_use]
-pub fn decimal_to_float_exact<F: FloatFormat>(
-    lit: &Literal,
-    base: u64,
-    rounding: RoundingMode,
-) -> F {
-    let parts = match lit {
-        Literal::Nan => return F::nan(),
-        Literal::Infinity { negative } => return F::infinity(*negative),
-        Literal::Finite(parts) => parts,
+    let format = SoftFormat {
+        base: 2,
+        precision: F::PRECISION,
+        min_exp: F::MIN_EXP,
+        max_exp: F::MAX_EXP,
     };
-    if parts.digits.is_zero() && !parts.truncated {
-        return F::encode(parts.negative, 0, 0);
+    match round_to_format(parts, base, rounding, &format) {
+        Rounded::Zero => F::encode(parts.negative, 0, 0),
+        Rounded::Finite(f, e) => {
+            let mantissa = u64::try_from(&f).expect("hardware significands fit u64");
+            F::encode(parts.negative, mantissa, e)
+        }
+        Rounded::Overflow => F::infinity(parts.negative),
     }
-    fpp_telemetry::record_read(ReadPath::Exact);
-    convert_exact::<F>(parts, base, rounding)
 }
 
 /// Converts a scanned base-10 literal through the fast tiers only, under
@@ -102,11 +69,11 @@ pub(crate) fn scanned_to_float<F: FloatFormat>(sc: &ScannedDecimal) -> Option<F>
     if F::PRECISION == 53 && F::MIN_EXP == -1074 {
         let (v, path) = scanned_magnitude::<f64>(sc, true)?;
         fpp_telemetry::record_read(path);
-        Some(encode_from_f64::<F>(v, sc.negative))
+        Some(reencode(v, sc.negative))
     } else if F::PRECISION == 24 && F::MIN_EXP == -149 {
         let (v, path) = scanned_magnitude::<f32>(sc, false)?;
         fpp_telemetry::record_read(path);
-        Some(encode_from_f32::<F>(v, sc.negative))
+        Some(reencode(v, sc.negative))
     } else {
         None
     }
@@ -133,7 +100,7 @@ fn scanned_magnitude<F: crate::lemire::LemireFloat>(
     if try_clinger && F::PRECISION == 53 {
         if let Some(v) = fast_path(sc.mantissa, sc.exponent) {
             // `F` is f64 here (guarded above); re-encode through decode.
-            return Some((encode_from_f64::<F>(v, false), ReadPath::FastPath));
+            return Some((reencode(v, false), ReadPath::FastPath));
         }
     }
     Some((
@@ -142,182 +109,19 @@ fn scanned_magnitude<F: crate::lemire::LemireFloat>(
     ))
 }
 
-/// Reuses an exactly computed `f64` when the target *is* `f64`; otherwise
-/// falls through to the exact path (the fast path is only enabled for `f64`
-/// via this check).
-fn encode_from_f64<F: FloatFormat>(v: f64, negative: bool) -> F {
-    // The fast tiers only run when F is f64 (53-bit significand).
-    debug_assert!(F::PRECISION == 53);
+/// Re-encodes a non-negative fast-tier result `v` of format `S` as the
+/// target `F` with the given sign. The fast tiers only run when `F` and `S`
+/// are the same format, so this is exact.
+fn reencode<S: FloatFormat, F: FloatFormat>(v: S, negative: bool) -> F {
+    debug_assert!(S::PRECISION == F::PRECISION && S::MIN_EXP == F::MIN_EXP);
     match v.decode() {
-        fpp_float::Decoded::Finite {
+        Decoded::Finite {
             mantissa, exponent, ..
         } => F::encode(negative, mantissa, exponent),
-        fpp_float::Decoded::Zero { .. } => F::encode(negative, 0, 0),
+        Decoded::Zero { .. } => F::encode(negative, 0, 0),
         // Eisel–Lemire reports certain overflow as infinity.
-        fpp_float::Decoded::Infinite { .. } => F::infinity(negative),
-        fpp_float::Decoded::Nan => unreachable!("fast tiers never produce NaN"),
-    }
-}
-
-/// `f32` counterpart of [`encode_from_f64`], for the `f32` fast tier.
-fn encode_from_f32<F: FloatFormat>(v: f32, negative: bool) -> F {
-    debug_assert!(F::PRECISION == 24);
-    match v.decode() {
-        fpp_float::Decoded::Finite {
-            mantissa, exponent, ..
-        } => F::encode(negative, mantissa, exponent),
-        fpp_float::Decoded::Zero { .. } => F::encode(negative, 0, 0),
-        fpp_float::Decoded::Infinite { .. } => F::infinity(negative),
-        fpp_float::Decoded::Nan => unreachable!("fast tiers never produce NaN"),
-    }
-}
-
-/// The exact path: scaled division with sticky-aware rounding.
-fn convert_exact<F: FloatFormat>(parts: &DecimalParts, base: u64, rounding: RoundingMode) -> F {
-    let neg = parts.negative;
-    let p = F::PRECISION;
-    let min_e = F::MIN_EXP;
-    let max_e = F::MAX_EXP;
-
-    // Magnitude screen: log2(value) = log2(digits) + exponent·log2(base).
-    // Values that are out of range by a wide margin skip the big arithmetic
-    // (the exponent may be astronomically large).
-    let log2_base = (base as f64).log2();
-    let approx_log2 = parts.digits.bit_len() as f64 + parts.exponent as f64 * log2_base;
-    if approx_log2 > (max_e + p as i32) as f64 + 8.0 {
-        return overflow::<F>(neg, rounding);
-    }
-    if approx_log2 < (min_e - 8) as f64 {
-        return underflow::<F>(neg, rounding, /*exactly_zero=*/ false);
-    }
-
-    // num/den = |value| exactly.
-    let (num, den) = if parts.exponent >= 0 {
-        let scale = Nat::from(base).pow(u32::try_from(parts.exponent).expect("screened"));
-        (&parts.digits * &scale, Nat::one())
-    } else {
-        let scale = Nat::from(base).pow(u32::try_from(-parts.exponent).expect("screened"));
-        (parts.digits.clone(), scale)
-    };
-    if num.is_zero() {
-        // All retained digits were zero but truncation dropped non-zeros:
-        // the value is a positive infinitesimal for rounding purposes.
-        return underflow::<F>(neg, rounding, false);
-    }
-
-    // Find e with q = ⌊num / (den·2^e)⌋ in [2^(p−1), 2^p), or e = min_e.
-    let mut e = num.bit_len() as i64 - den.bit_len() as i64 - p as i64;
-    e = e.max(min_e as i64);
-    let (mut q, mut rem, mut eff_den) = divide_at(&num, &den, e);
-    // Adjust downward while too small (at most a couple of iterations).
-    while e > min_e as i64 && q.bit_len() < p as u64 {
-        e -= 1;
-        (q, rem, eff_den) = divide_at(&num, &den, e);
-    }
-    // Adjust upward while too large.
-    while q.bit_len() > p as u64 {
-        e += 1;
-        (q, rem, eff_den) = divide_at(&num, &den, e);
-    }
-
-    // Round the quotient per the mode, with the sticky flag standing in for
-    // the dropped tail.
-    let sticky = parts.truncated;
-    let exact = rem.is_zero() && !sticky;
-    let round_up = if exact {
-        false
-    } else {
-        match rounding {
-            RoundingMode::TowardZero => false,
-            RoundingMode::AwayFromZero => true,
-            RoundingMode::NearestEven
-            | RoundingMode::Conservative
-            | RoundingMode::NearestAwayFromZero
-            | RoundingMode::NearestTowardZero => {
-                let twice = rem.mul_u64_ref(2);
-                match twice.cmp(&eff_den) {
-                    std::cmp::Ordering::Less => false,
-                    std::cmp::Ordering::Greater => true,
-                    std::cmp::Ordering::Equal => {
-                        if sticky {
-                            true // the dropped tail pushes past the midpoint
-                        } else {
-                            match rounding {
-                                RoundingMode::NearestEven | RoundingMode::Conservative => {
-                                    !q.is_even()
-                                }
-                                RoundingMode::NearestAwayFromZero => true,
-                                RoundingMode::NearestTowardZero => false,
-                                _ => unreachable!(),
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    };
-    if round_up {
-        q.add_u64(1);
-        if q.bit_len() > p as u64 {
-            // Carried into a new bit: renormalize (q = 2^p → 2^(p−1)).
-            q >>= 1;
-            e += 1;
-        }
-    }
-
-    if q.is_zero() {
-        return underflow::<F>(neg, rounding, exact);
-    }
-    if e > max_e as i64 {
-        return overflow::<F>(neg, rounding);
-    }
-    let mantissa = u64::try_from(&q).expect("mantissa fits u64 for p <= 64");
-    F::encode(neg, mantissa, e as i32)
-}
-
-/// `(q, rem, eff_den)` with `num = q·eff_den·... `: divides `num` by
-/// `den·2^e`, returning the effective denominator for remainder comparisons.
-fn divide_at(num: &Nat, den: &Nat, e: i64) -> (Nat, Nat, Nat) {
-    if e >= 0 {
-        let eff = den << u32::try_from(e).expect("exponent fits");
-        let (q, rem) = num.div_rem(&eff);
-        (q, rem, eff)
-    } else {
-        let shifted = num << u32::try_from(-e).expect("exponent fits");
-        let (q, rem) = shifted.div_rem(den);
-        (q, rem, den.clone())
-    }
-}
-
-fn overflow<F: FloatFormat>(neg: bool, rounding: RoundingMode) -> F {
-    match rounding {
-        RoundingMode::TowardZero => {
-            let m = F::max_finite();
-            if neg {
-                negate::<F>(m)
-            } else {
-                m
-            }
-        }
-        _ => F::infinity(neg),
-    }
-}
-
-fn underflow<F: FloatFormat>(neg: bool, rounding: RoundingMode, exactly_zero: bool) -> F {
-    if !exactly_zero && matches!(rounding, RoundingMode::AwayFromZero) {
-        // Any non-zero magnitude rounds away to the smallest subnormal.
-        return F::encode(neg, 1, F::MIN_EXP);
-    }
-    F::encode(neg, 0, 0)
-}
-
-fn negate<F: FloatFormat>(v: F) -> F {
-    match v.decode() {
-        fpp_float::Decoded::Finite {
-            mantissa, exponent, ..
-        } => F::encode(true, mantissa, exponent),
-        fpp_float::Decoded::Zero { .. } => F::encode(true, 0, 0),
-        _ => v,
+        Decoded::Infinite { .. } => F::infinity(negative),
+        Decoded::Nan => unreachable!("fast tiers never produce NaN"),
     }
 }
 

@@ -5,8 +5,10 @@
 //! representable (|q| ≤ 22), `D × 10^q` incurs exactly one rounding — the
 //! final multiply or divide — so the hardware's round-to-nearest-even gives
 //! the correctly rounded result with no big-integer arithmetic. Gay's
-//! heuristics (cited in §5 of the printing paper) generalize this idea; the
-//! exact path in [`crate::decimal_to_float`] covers everything else.
+//! heuristics (cited in §5 of the printing paper) generalize this idea.
+//! It is the first tier [`crate::read_float`] tries on a scanned base-10
+//! literal; Eisel–Lemire is the second, and the one exact reader (reached
+//! through [`crate::decimal_to_float`]) covers everything else.
 
 /// Largest exponent `q` with `10^q` exactly representable in `f64`.
 const MAX_EXACT_POW10: i64 = 22;

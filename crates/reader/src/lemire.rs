@@ -215,18 +215,6 @@ pub fn eisel_lemire_f64(digits: u64, exponent: i64) -> Option<f64> {
     eisel_lemire::<f64>(digits, exponent)
 }
 
-/// Attempts the Eisel–Lemire fast conversion of `digits × 10^exponent` to
-/// a **non-negative** `f32` under round-to-nearest-even (see
-/// [`eisel_lemire_f64`]).
-///
-/// ```
-/// assert_eq!(fpp_reader::eisel_lemire_f32(1, -1), Some(0.1f32));
-/// ```
-#[must_use]
-pub fn eisel_lemire_f32(digits: u64, exponent: i64) -> Option<f32> {
-    eisel_lemire::<f32>(digits, exponent)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,7 +290,7 @@ mod tests {
             (1, 39, f32::INFINITY),
         ];
         for &(w, q, expect) in cases {
-            let got = eisel_lemire_f32(w, q).expect("in fast region");
+            let got = eisel_lemire::<f32>(w, q).expect("in fast region");
             assert_eq!(got.to_bits(), expect.to_bits(), "{w}e{q}");
         }
     }

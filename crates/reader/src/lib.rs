@@ -9,11 +9,15 @@
 //! round-trip guarantee can be verified entirely in-repo (`str::parse::<f64>`
 //! only covers base 10 with round-to-nearest-even).
 //!
-//! The implementation is the exact big-integer path: form the literal as a
-//! ratio `D × Bᵠ` of big naturals, locate the unique representable mantissa
-//! by scaled division, and round with an exact remainder comparison. A fast
-//! path (Gay's observation, cited in §5 of the printing paper) handles the
-//! common short-literal cases with two exact floating-point operations.
+//! There is one exact reader, generic in the target format: form the
+//! literal as a ratio `D × Bᵠ` of big naturals, locate the unique
+//! representable significand by scaled division, and round with an exact
+//! remainder comparison ([`read_soft`] for any format; the hardware formats
+//! are its base-2 instance). Plain base-10 literals under the IEEE default
+//! rounding first try two fast tiers on a `u64` scan — Clinger's
+//! one-operation path (Gay's observation, cited in §5 of the printing
+//! paper) and Eisel–Lemire's truncated product — which either return the
+//! correctly rounded result or reject to the exact reader.
 //!
 //! # Examples
 //!
@@ -38,9 +42,9 @@ mod scan;
 mod soft;
 
 pub use batch::{BatchParseError, BatchParseOptions, BatchParser};
-pub use convert::{decimal_to_float, decimal_to_float_exact, DecimalParts};
+pub use convert::{decimal_to_float, DecimalParts};
 pub use fast::fast_path;
-pub use lemire::{eisel_lemire_f32, eisel_lemire_f64};
+pub use lemire::eisel_lemire_f64;
 pub use parse::{parse_hex_literal, parse_literal, Literal, ParseFloatError};
 pub use soft::{read_soft, SoftFormat, SoftReadResult};
 
@@ -76,11 +80,8 @@ pub fn read_f32(s: &str) -> Result<f32, ParseFloatError> {
 ///
 /// # Errors
 ///
-/// Returns [`ParseFloatError`] on a malformed literal.
-///
-/// # Panics
-///
-/// Panics if `base` is outside `2..=36`.
+/// Returns [`ParseFloatError`] on a malformed literal or a `base` outside
+/// `2..=36`.
 ///
 /// ```
 /// use fpp_float::RoundingMode;
@@ -94,7 +95,6 @@ pub fn read_float<F: FloatFormat>(
     base: u64,
     rounding: RoundingMode,
 ) -> Result<F, ParseFloatError> {
-    assert!((2..=36).contains(&base), "input base must be in 2..=36");
     // The common case — a plain base-10 literal under the IEEE default
     // rounding — goes through the u64 scanner and the fast tiers (Clinger,
     // Eisel–Lemire) without ever touching big-integer accumulation. Any
@@ -129,7 +129,7 @@ pub fn read_f32_fast(s: &str) -> Option<f32> {
     convert::scanned_to_float::<f32>(&scan::scan_decimal(s)?)
 }
 
-/// Reads an `f64` through the exact big-integer path **only**, skipping
+/// Reads an `f64` through the exact big-integer reader **only**, skipping
 /// every fast tier — the oracle the differential suites and the
 /// `roundtrip` bench baseline compare against. Bit-identical to
 /// [`read_f64`] on every input, by construction.
@@ -139,11 +139,7 @@ pub fn read_f32_fast(s: &str) -> Option<f32> {
 /// Returns [`ParseFloatError`] on a malformed literal.
 pub fn read_f64_exact(s: &str) -> Result<f64, ParseFloatError> {
     let literal = parse_literal(s, 10)?;
-    Ok(decimal_to_float_exact::<f64>(
-        &literal,
-        10,
-        RoundingMode::NearestEven,
-    ))
+    Ok(decimal_to_float(&literal, 10, RoundingMode::NearestEven))
 }
 
 /// `f32` counterpart of [`read_f64_exact`].
@@ -153,11 +149,7 @@ pub fn read_f64_exact(s: &str) -> Result<f64, ParseFloatError> {
 /// Returns [`ParseFloatError`] on a malformed literal.
 pub fn read_f32_exact(s: &str) -> Result<f32, ParseFloatError> {
     let literal = parse_literal(s, 10)?;
-    Ok(decimal_to_float_exact::<f32>(
-        &literal,
-        10,
-        RoundingMode::NearestEven,
-    ))
+    Ok(decimal_to_float(&literal, 10, RoundingMode::NearestEven))
 }
 
 /// Reads a C99 hexadecimal float literal (`0x1.8p+1`) into any hardware

@@ -60,14 +60,12 @@ impl std::error::Error for ParseFloatError {}
 ///
 /// # Errors
 ///
-/// Returns [`ParseFloatError`] on empty input, invalid digits, or a
-/// malformed exponent.
-///
-/// # Panics
-///
-/// Panics if `base` is outside `2..=36`.
+/// Returns [`ParseFloatError`] on empty input, invalid digits, a
+/// malformed exponent, or a `base` outside `2..=36`.
 pub fn parse_literal(s: &str, base: u64) -> Result<Literal, ParseFloatError> {
-    assert!((2..=36).contains(&base), "input base must be in 2..=36");
+    if !(2..=36).contains(&base) {
+        return Err(ParseFloatError::new("input base must be in 2..=36"));
+    }
     let bytes = s.as_bytes();
     let mut pos = 0usize;
 

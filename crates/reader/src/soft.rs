@@ -1,17 +1,22 @@
-//! Correctly rounded reading into arbitrary software float formats.
+//! The exact reader: Clinger's scaled division, generic in the target
+//! format.
 //!
-//! Clinger's algorithm is generic in the target format; this module exposes
-//! that generality: a literal in any base 2–36 can be read into any
+//! A literal in any base 2–36 is formed as an exact ratio of big naturals,
+//! the unique significand of the target format is located by scaled
+//! division, and the quotient is rounded with an exact remainder comparison
+//! under any [`RoundingMode`]. [`read_soft`] exposes this for any
 //! [`SoftFloat`] format — any target base, precision and exponent range —
-//! correctly rounded under any [`RoundingMode`]. It is the read half that
-//! completes the round-trip story for the toy formats the test suite
-//! enumerates exhaustively (the hardware-format fast paths in
-//! [`crate::decimal_to_float`] are the specialisation to `b = 2`).
+//! which completes the round trip for the toy formats the test suite
+//! enumerates exhaustively. The hardware formats are its `b = 2` instance:
+//! [`crate::decimal_to_float`] calls the same routine and encodes the
+//! result, so the crate has exactly one correctly rounded conversion.
 
 use crate::parse::Literal;
-use crate::{parse_literal, ParseFloatError};
+use crate::{parse_literal, DecimalParts, ParseFloatError};
 use fpp_bignum::Nat;
 use fpp_float::{RoundingMode, SoftFloat};
+use std::borrow::Cow;
+use std::cmp::Ordering;
 
 /// A target software floating-point format for [`read_soft`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,12 +48,9 @@ pub enum SoftReadResult {
 ///
 /// # Errors
 ///
-/// Returns [`ParseFloatError`] on a malformed literal.
-///
-/// # Panics
-///
-/// Panics if `literal_base` is outside `2..=36` or the format is invalid
-/// (`base < 2`, `precision == 0`, or `min_exp > max_exp`).
+/// Returns [`ParseFloatError`] on a malformed literal, a `literal_base`
+/// outside `2..=36`, or an invalid format (`base < 2`, `precision == 0`,
+/// or `min_exp > max_exp`).
 ///
 /// ```
 /// use fpp_float::RoundingMode;
@@ -69,178 +71,188 @@ pub fn read_soft(
     rounding: RoundingMode,
     format: &SoftFormat,
 ) -> Result<(bool, SoftReadResult), ParseFloatError> {
-    assert!(
-        (2..=36).contains(&literal_base),
-        "literal base must be in 2..=36"
-    );
-    assert!(format.base >= 2, "format base must be >= 2");
-    assert!(format.precision >= 1, "format precision must be >= 1");
-    assert!(format.min_exp <= format.max_exp, "empty exponent range");
-    let literal = parse_literal(s, literal_base)?;
-    Ok(convert_soft(&literal, literal_base, rounding, format))
+    if format.base < 2 {
+        return Err(ParseFloatError::new("format base must be >= 2"));
+    }
+    if format.precision == 0 {
+        return Err(ParseFloatError::new("format precision must be >= 1"));
+    }
+    if format.min_exp > format.max_exp {
+        return Err(ParseFloatError::new("empty format exponent range"));
+    }
+    let parts = match parse_literal(s, literal_base)? {
+        Literal::Nan => return Ok((false, SoftReadResult::Overflow)),
+        Literal::Infinity { negative } => return Ok((negative, SoftReadResult::Overflow)),
+        Literal::Finite(parts) => parts,
+    };
+    let result = match round_to_format(&parts, literal_base, rounding, format) {
+        Rounded::Zero => SoftReadResult::Zero,
+        Rounded::Finite(f, e) => SoftReadResult::Finite(
+            SoftFloat::new(f, e, format.base, format.precision, format.min_exp)
+                .expect("the rounded significand is normalized for the format"),
+        ),
+        Rounded::Overflow => SoftReadResult::Overflow,
+    };
+    Ok((parts.negative, result))
 }
 
-fn convert_soft(
-    lit: &Literal,
+/// A magnitude rounded into a target format.
+pub(crate) enum Rounded {
+    /// The magnitude rounded to zero.
+    Zero,
+    /// `f × bᵉ` with `f < bᵖ`, and `f ≥ bᵖ⁻¹` unless `e` is the minimum
+    /// exponent (subnormal).
+    Finite(Nat, i32),
+    /// The magnitude rounded past the largest finite value.
+    Overflow,
+}
+
+/// Rounds `|digits × literal_base^exponent|` into `format` under
+/// `rounding`, the sticky `truncated` flag standing in for dropped digits.
+///
+/// Overflow and underflow follow IEEE 754: overflow gives the largest
+/// finite value under [`RoundingMode::TowardZero`] and [`Rounded::Overflow`]
+/// otherwise; a non-zero magnitude below the smallest subnormal gives the
+/// smallest subnormal under [`RoundingMode::AwayFromZero`] and
+/// [`Rounded::Zero`] otherwise. The format must be valid (`base ≥ 2`,
+/// `precision ≥ 1`, `min_exp ≤ max_exp`).
+pub(crate) fn round_to_format(
+    parts: &DecimalParts,
     literal_base: u64,
     rounding: RoundingMode,
     format: &SoftFormat,
-) -> (bool, SoftReadResult) {
-    let parts = match lit {
-        Literal::Nan => return (false, SoftReadResult::Overflow),
-        Literal::Infinity { negative } => return (*negative, SoftReadResult::Overflow),
-        Literal::Finite(parts) => parts,
-    };
-    let neg = parts.negative;
-    if parts.digits.is_zero() && !parts.truncated {
-        return (neg, SoftReadResult::Zero);
-    }
+) -> Rounded {
     let bt = format.base;
     let p = format.precision;
     let min_e = format.min_exp;
     let max_e = format.max_exp;
+    let overflow = || match rounding {
+        RoundingMode::TowardZero => Rounded::Finite(&power(bt, p) - &Nat::one(), max_e),
+        _ => Rounded::Overflow,
+    };
+    let underflow = || match rounding {
+        RoundingMode::AwayFromZero => Rounded::Finite(Nat::one(), min_e),
+        _ => Rounded::Zero,
+    };
+    if parts.digits.is_zero() && !parts.truncated {
+        return Rounded::Zero;
+    }
 
-    // Magnitude screen in log2 to avoid astronomically large powers.
-    let log2_lit = (literal_base as f64).log2();
+    // Magnitude screen in log2: values out of range by a wide margin skip
+    // the big arithmetic (the exponent may be astronomically large).
     let log2_bt = (bt as f64).log2();
-    let approx_log2 = parts.digits.bit_len() as f64 + parts.exponent as f64 * log2_lit;
-    let max_log2 = (max_e as f64 + p as f64) * log2_bt;
-    let min_log2 = min_e as f64 * log2_bt;
-    if approx_log2 > max_log2 + 8.0 * log2_bt {
-        return (neg, overflow_result(rounding, format));
+    let approx_log2 =
+        parts.digits.bit_len() as f64 + parts.exponent as f64 * (literal_base as f64).log2();
+    if approx_log2 > (f64::from(max_e) + f64::from(p) + 8.0) * log2_bt {
+        return overflow();
     }
-    if approx_log2 < min_log2 - 8.0 * log2_bt {
-        return (neg, underflow_result(rounding, format));
+    if approx_log2 < (f64::from(min_e) - 8.0) * log2_bt {
+        return underflow();
     }
 
-    // num/den = |value| exactly, in terms of the literal base.
+    // num/den = |value| exactly.
+    let k = u32::try_from(parts.exponent.unsigned_abs()).expect("screened");
     let (num, den) = if parts.exponent >= 0 {
-        let scale = Nat::from(literal_base).pow(u32::try_from(parts.exponent).expect("screened"));
-        (&parts.digits * &scale, Nat::one())
+        (scale(&parts.digits, literal_base, k), Nat::one())
     } else {
-        let scale = Nat::from(literal_base).pow(u32::try_from(-parts.exponent).expect("screened"));
-        (parts.digits.clone(), scale)
+        (parts.digits.clone(), power(literal_base, k))
     };
     if num.is_zero() {
-        return (neg, underflow_result(rounding, format));
+        // All retained digits were zero but truncation dropped non-zeros:
+        // a positive infinitesimal for rounding purposes.
+        return underflow();
     }
 
-    // Find e with f = round(num / (den·btᵉ)) in [bt^(p−1), bt^p), or e = min_e.
+    // Find e with f = ⌊num / (den·btᵉ)⌋ in [bt^(p−1), bt^p), or e = min_e.
+    // The estimate is off by at most a step or two either way.
     let mut e =
         ((num.bit_len() as f64 - den.bit_len() as f64) / log2_bt).floor() as i64 - i64::from(p);
     e = e.max(i64::from(min_e));
-    let bt_lo = Nat::from(bt).pow(p - 1);
-    let bt_hi = Nat::from(bt).pow(p);
-    let (mut f, mut rem, mut eff_den) = divide_at_base(&num, &den, bt, e);
-    let mut guard = 0;
-    while e > i64::from(min_e) && f < bt_lo {
+    let (mut f, mut rem, mut eff_den) = divide_at(&num, &den, bt, e);
+    while e > i64::from(min_e) && !at_least_power(&f, bt, p - 1) {
         e -= 1;
-        (f, rem, eff_den) = divide_at_base(&num, &den, bt, e);
-        guard += 1;
-        assert!(guard < 80, "normalization diverged");
+        (f, rem, eff_den) = divide_at(&num, &den, bt, e);
     }
-    while f >= bt_hi {
+    while at_least_power(&f, bt, p) {
         e += 1;
-        (f, rem, eff_den) = divide_at_base(&num, &den, bt, e);
-        guard += 1;
-        assert!(guard < 160, "normalization diverged");
+        (f, rem, eff_den) = divide_at(&num, &den, bt, e);
     }
 
-    // Round per mode with the sticky flag.
+    // Round per mode, the sticky flag standing in for the dropped tail.
     let sticky = parts.truncated;
-    let exact = rem.is_zero() && !sticky;
-    let round_up = if exact {
-        false
-    } else {
-        match rounding {
-            RoundingMode::TowardZero => false,
-            RoundingMode::AwayFromZero => true,
-            _ => {
-                let twice = rem.mul_u64_ref(2);
-                match twice.cmp(&eff_den) {
-                    std::cmp::Ordering::Less => false,
-                    std::cmp::Ordering::Greater => true,
-                    std::cmp::Ordering::Equal => {
-                        if sticky {
-                            true
-                        } else {
-                            match rounding {
-                                RoundingMode::NearestEven | RoundingMode::Conservative => {
-                                    !f.is_even()
-                                }
-                                RoundingMode::NearestAwayFromZero => true,
-                                RoundingMode::NearestTowardZero => false,
-                                _ => unreachable!(),
-                            }
-                        }
+    let round_up = match rounding {
+        _ if rem.is_zero() && !sticky => false,
+        RoundingMode::TowardZero => false,
+        RoundingMode::AwayFromZero => true,
+        _ => match rem.double_cmp(&eff_den) {
+            Ordering::Less => false,
+            Ordering::Greater => true,
+            // A dropped tail pushes a tie past the midpoint.
+            Ordering::Equal => {
+                sticky
+                    || match rounding {
+                        RoundingMode::NearestEven | RoundingMode::Conservative => !f.is_even(),
+                        RoundingMode::NearestAwayFromZero => true,
+                        _ => false,
                     }
-                }
             }
-        }
+        },
     };
     if round_up {
-        f += &Nat::one();
-        if f == bt_hi {
-            f = bt_lo.clone();
+        f.add_u64(1);
+        if at_least_power(&f, bt, p) {
+            // Carried into a new digit: f = bᵖ, renormalize.
+            f = power(bt, p - 1);
             e += 1;
         }
     }
     if f.is_zero() {
-        return (neg, underflow_result(rounding, format));
+        return underflow();
     }
     if e > i64::from(max_e) {
-        return (neg, overflow_result(rounding, format));
+        return overflow();
     }
-    let value = SoftFloat::new(f, e as i32, bt, p, min_e)
-        .expect("normalized result satisfies the invariants");
-    (neg, SoftReadResult::Finite(value))
+    Rounded::Finite(f, e as i32)
+}
+
+/// `x · bᵏ`, by a shift when `b = 2` (the hardware formats and hex
+/// literals).
+fn scale(x: &Nat, b: u64, k: u32) -> Nat {
+    if b == 2 {
+        x << k
+    } else {
+        x * &power(b, k)
+    }
+}
+
+/// `bᵏ`.
+fn power(b: u64, k: u32) -> Nat {
+    if b == 2 {
+        Nat::one() << k
+    } else {
+        Nat::from(b).pow(k)
+    }
+}
+
+/// Whether `x ≥ bᵏ`, by bit length when `b = 2`.
+fn at_least_power(x: &Nat, b: u64, k: u32) -> bool {
+    if b == 2 {
+        x.bit_len() > u64::from(k)
+    } else {
+        *x >= power(b, k)
+    }
 }
 
 /// `f = ⌊num / (den·btᵉ)⌋` with remainder and effective denominator.
-fn divide_at_base(num: &Nat, den: &Nat, bt: u64, e: i64) -> (Nat, Nat, Nat) {
+fn divide_at<'a>(num: &Nat, den: &'a Nat, bt: u64, e: i64) -> (Nat, Nat, Cow<'a, Nat>) {
+    let k = u32::try_from(e.unsigned_abs()).expect("exponent fits");
     if e >= 0 {
-        let eff = den * &Nat::from(bt).pow(u32::try_from(e).expect("fits"));
+        let eff = scale(den, bt, k);
         let (q, rem) = num.div_rem(&eff);
-        (q, rem, eff)
+        (q, rem, Cow::Owned(eff))
     } else {
-        let scaled = num * &Nat::from(bt).pow(u32::try_from(-e).expect("fits"));
-        let (q, rem) = scaled.div_rem(den);
-        (q, rem, den.clone())
-    }
-}
-
-fn overflow_result(rounding: RoundingMode, format: &SoftFormat) -> SoftReadResult {
-    match rounding {
-        RoundingMode::TowardZero => {
-            let f = Nat::from(format.base).pow(format.precision) - Nat::one();
-            SoftReadResult::Finite(
-                SoftFloat::new(
-                    f,
-                    format.max_exp,
-                    format.base,
-                    format.precision,
-                    format.min_exp,
-                )
-                .expect("max finite is valid"),
-            )
-        }
-        _ => SoftReadResult::Overflow,
-    }
-}
-
-fn underflow_result(rounding: RoundingMode, format: &SoftFormat) -> SoftReadResult {
-    match rounding {
-        RoundingMode::AwayFromZero => SoftReadResult::Finite(
-            SoftFloat::new(
-                Nat::one(),
-                format.min_exp,
-                format.base,
-                format.precision,
-                format.min_exp,
-            )
-            .expect("smallest subnormal is valid"),
-        ),
-        _ => SoftReadResult::Zero,
+        let (q, rem) = scale(num, bt, k).div_rem(den);
+        (q, rem, Cow::Borrowed(den))
     }
 }
 
@@ -300,7 +312,8 @@ mod tests {
 
     #[test]
     fn binary_target_format_matches_f64_semantics() {
-        // Reading into (2, 53, -1074, 971) must agree with the f64 reader.
+        // Reading into (2, 53, -1074, 971) must agree with the standard
+        // library's f64 parser (the crate's own f64 reader is this routine).
         let fmt = SoftFormat {
             base: 2,
             precision: 53,
@@ -309,9 +322,46 @@ mod tests {
         };
         for s in ["0.1", "1e23", "2.2250738585072011e-308", "5e-324", "1.5"] {
             let v = finite(s, &fmt);
-            let expected = SoftFloat::from_f64(crate::read_f64(s).unwrap()).unwrap();
+            let expected = SoftFloat::from_f64(s.parse::<f64>().unwrap()).unwrap();
             assert_eq!(v, expected, "{s}");
         }
+    }
+
+    fn read_one(
+        literal_base: u64,
+        fmt: &SoftFormat,
+    ) -> Result<(bool, SoftReadResult), ParseFloatError> {
+        read_soft("1", literal_base, RoundingMode::NearestEven, fmt)
+    }
+
+    #[test]
+    fn literal_base_out_of_range_is_an_error() {
+        assert!(read_one(1, &DEC3).is_err());
+        assert!(read_one(37, &DEC3).is_err());
+    }
+
+    #[test]
+    fn format_base_below_two_is_an_error() {
+        assert!(read_one(10, &SoftFormat { base: 1, ..DEC3 }).is_err());
+    }
+
+    #[test]
+    fn zero_precision_is_an_error() {
+        let fmt = SoftFormat {
+            precision: 0,
+            ..DEC3
+        };
+        assert!(read_one(10, &fmt).is_err());
+    }
+
+    #[test]
+    fn empty_exponent_range_is_an_error() {
+        let fmt = SoftFormat {
+            min_exp: 1,
+            max_exp: 0,
+            ..DEC3
+        };
+        assert!(read_one(10, &fmt).is_err());
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! must agree to the bit; entries with a pinned expectation are also
 //! asserted against explicit bit patterns.
 
+use fpp::float::{FloatFormat, RoundingMode, F16};
 use fpp::reader::{
-    read_f32, read_f32_exact, read_f32_fast, read_f64, read_f64_exact, read_f64_fast,
+    read_f32, read_f32_exact, read_f32_fast, read_f64, read_f64_exact, read_f64_fast, read_float,
 };
 
 /// Tiered = exact = std, to the bit; returns the agreed value.
@@ -171,4 +172,119 @@ fn negated_corpus_preserves_bit_symmetry() {
             "sign symmetry broke on {s:?}"
         );
     }
+}
+
+/// Halfway, subnormal and overflow literals from the tests above, plus the
+/// same boundaries for `f32` and `F16`, for the directed-mode bracket.
+const BOUNDARY_CORPUS: &[&str] = &[
+    // f64 halfway and near-halfway.
+    "7.2057594037927933e16",
+    "9007199254740993",
+    "9007199254740993.00000000000000000000000000000001",
+    "1.00000000000000011102230246251565404236316680908203125",
+    "1.00000000000000011102230246251565404236316680908203126",
+    "100000000000000000000000",
+    "1e23",
+    // f64 subnormal and underflow.
+    "2.2250738585072014e-308",
+    "2.2250738585072011e-308",
+    "5e-324",
+    "4.9406564584124654e-324",
+    "2.470328229206232e-324",
+    "2.4703282292062328e-324",
+    "1e-324",
+    "3e-324",
+    "1e-400",
+    // f64 overflow.
+    "1.7976931348623157e308",
+    "1.7976931348623158e308",
+    "1.7976931348623159e308",
+    "1e308",
+    "1e309",
+    "123456789e400",
+    // f32 boundaries.
+    "16777217",
+    "3.4028235e38",
+    "3.4028236e38",
+    "1.4e-45",
+    "7.006492321624085e-46",
+    "7.0064923216240854e-46",
+    "1.17549435e-38",
+    // F16 boundaries: 2049 ties to 2048; 65520 is halfway past the largest
+    // finite 65504; 2^-25 ≈ 2.98e-8 is half the smallest subnormal.
+    "2049",
+    "2049.0000001",
+    "65504",
+    "65519.999",
+    "65520",
+    "2.9802322387695312e-8",
+    "2.9802322387695313e-8",
+    "6.103515625e-5",
+];
+
+/// Reads `s` under `TowardZero`, `NearestEven` and `AwayFromZero` and
+/// checks the bracket: the nearest result lies between the two directed
+/// results, which are equal (an exact literal) or adjacent. Returns the
+/// nearest result.
+fn directed_bracket<F: FloatFormat + std::fmt::Debug>(s: &str) -> F {
+    let read = |mode| read_float::<F>(s, 10, mode).expect("corpus literal is valid");
+    let (toward, near, away) = (
+        read(RoundingMode::TowardZero),
+        read(RoundingMode::NearestEven),
+        read(RoundingMode::AwayFromZero),
+    );
+    let (lo, hi) = if s.starts_with('-') {
+        (away, toward)
+    } else {
+        (toward, away)
+    };
+    assert!(
+        lo <= near && near <= hi,
+        "{s:?}: {lo:?} <= {near:?} <= {hi:?}"
+    );
+    assert!(
+        lo == hi || lo.next_up() == hi,
+        "{s:?}: {lo:?}, {hi:?} not adjacent"
+    );
+    near
+}
+
+#[test]
+fn directed_modes_bracket_nearest_on_the_boundary_corpus() {
+    for &pos in BOUNDARY_CORPUS {
+        for s in [pos.to_string(), format!("-{pos}")] {
+            let want64: f64 = s.parse().unwrap();
+            assert_eq!(
+                directed_bracket::<f64>(&s).to_bits(),
+                want64.to_bits(),
+                "{s}"
+            );
+            let want32: f32 = s.parse().unwrap();
+            assert_eq!(
+                directed_bracket::<f32>(&s).to_bits(),
+                want32.to_bits(),
+                "{s}"
+            );
+            directed_bracket::<F16>(&s);
+        }
+    }
+}
+
+#[test]
+fn f16_boundaries_round_to_nearest_even() {
+    let near = |s| directed_bracket::<F16>(s);
+    assert_eq!(near("2049"), near("2048"), "tie to even");
+    assert_eq!(near("2049.0000001"), near("2050"), "past the tie");
+    assert_eq!(near("65519.999"), near("65504"), "below the overflow tie");
+    assert_eq!(near("65520"), F16::infinity(false), "the overflow tie");
+    assert_eq!(
+        near("2.9802322387695312e-8"),
+        near("0"),
+        "below half the smallest subnormal"
+    );
+    assert_eq!(
+        near("2.9802322387695313e-8"),
+        F16::encode(false, 1, F16::MIN_EXP),
+        "above half the smallest subnormal"
+    );
 }

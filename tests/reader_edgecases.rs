@@ -2,7 +2,7 @@
 //! corners of the grammar.
 
 use fpp::float::RoundingMode;
-use fpp::reader::{read_f64, read_f64_exact, read_f64_fast, read_float, read_hex};
+use fpp::reader::{parse_literal, read_f64, read_f64_exact, read_f64_fast, read_float, read_hex};
 
 #[test]
 fn leading_zeros_and_redundant_forms() {
@@ -54,6 +54,32 @@ fn base36_extremes() {
     assert!((v - (35.0 * 36.0 + 35.0 + 35.0 / 36.0)).abs() < 1e-9);
     let v: f64 = read_float("1@-3", 36, RoundingMode::NearestEven).unwrap();
     assert_eq!(v, 36f64.powi(-3));
+}
+
+#[test]
+fn at_exponent_literals_match_e_spellings() {
+    // The scanner does not take `@`, so these reach the exact reader even
+    // through the tiered `read_f64`; both must equal the `e` spelling.
+    for (at, e) in [("1@2", "1e2"), ("-2.5@-3", "-2.5e-3"), ("1@400", "1e400")] {
+        let want = read_f64(e).unwrap().to_bits();
+        assert_eq!(read_f64(at).unwrap().to_bits(), want, "{at}");
+        assert_eq!(read_f64_exact(at).unwrap().to_bits(), want, "{at}");
+    }
+}
+
+#[test]
+fn read_float_rejects_out_of_range_bases() {
+    for base in [0, 1, 37, u64::MAX] {
+        let r = read_float::<f64>("1", base, RoundingMode::NearestEven);
+        assert!(r.is_err(), "base {base}");
+    }
+}
+
+#[test]
+fn parse_literal_rejects_out_of_range_bases() {
+    for base in [0, 1, 37, u64::MAX] {
+        assert!(parse_literal("1", base).is_err(), "base {base}");
+    }
 }
 
 #[test]
