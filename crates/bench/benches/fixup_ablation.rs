@@ -2,13 +2,13 @@
 //! but less accurate estimator wins — "the loss of accuracy is unimportant,
 //! and scaling is more efficient in all cases."
 //!
-//! Measures the three estimate-based scalers on the scale step in isolation
+//! Measures the three estimate-based scaling strategies on the scale step in isolation
 //! (initial state construction + scaling, no digit generation), where the
 //! estimator cost difference is proportionally largest.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use fpp_bignum::PowerTable;
-use fpp_core::{initial_state, EstimateScaler, GayScaler, LogScaler, Scaler};
+use fpp_bignum::{PowerTable, Scratch};
+use fpp_core::{initial_state, ScalingStrategy};
 use fpp_float::SoftFloat;
 use fpp_testgen::SchryerSet;
 use std::hint::black_box;
@@ -27,18 +27,19 @@ fn bench_scale_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("scale_step_only");
     group.throughput(Throughput::Elements(values.len() as u64));
 
-    let scalers: [(&str, &dyn Scaler); 3] = [
-        ("estimate_2flop", &EstimateScaler),
-        ("log_accurate", &LogScaler),
-        ("gay_taylor_5flop", &GayScaler),
+    let strategies = [
+        ("estimate_2flop", ScalingStrategy::Estimate),
+        ("log_accurate", ScalingStrategy::Log),
+        ("gay_taylor_5flop", ScalingStrategy::Gay),
     ];
-    for (name, scaler) in scalers {
+    for (name, strategy) in strategies {
         group.bench_with_input(BenchmarkId::from_parameter(name), &name, |b, _| {
             let mut powers = PowerTable::with_capacity(10, 350);
             b.iter(|| {
                 for v in &values {
-                    let st = initial_state(v);
-                    black_box(scaler.scale(st, v, false, &mut powers));
+                    let mut st = initial_state(v);
+                    let k = strategy.scale_in(&mut st, v, false, &mut powers, &mut Scratch::new());
+                    black_box((&st, k));
                 }
             });
         });

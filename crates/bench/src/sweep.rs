@@ -5,7 +5,7 @@
 
 use fpp_baseline::naive_printf::naive_digits;
 use fpp_baseline::simple_fixed::simple_fixed_digits;
-use fpp_bignum::PowerTable;
+use fpp_bignum::{PowerTable, Scratch};
 use fpp_core::{free_format_digits, initial_state, ScalingStrategy, TieBreak};
 use fpp_float::{RoundingMode, SoftFloat};
 use std::hint::black_box;
@@ -114,9 +114,9 @@ pub fn sweep_scale_only(values: &[f64], strategy: ScalingStrategy) -> SweepOutco
     let start = Instant::now();
     for &v in values {
         let sf = SoftFloat::from_f64(v).expect("workloads contain positive finite values");
-        let st = initial_state(&sf);
-        let scaled = strategy.scale(st, &sf, false, &mut powers);
-        black_box(&scaled);
+        let mut st = initial_state(&sf);
+        let k = strategy.scale_in(&mut st, &sf, false, &mut powers, &mut Scratch::new());
+        black_box((&st, k));
     }
     SweepOutcome {
         elapsed: start.elapsed(),

@@ -17,6 +17,7 @@
 
 use crate::scale::InitialState;
 use fpp_bignum::Nat;
+use fpp_telemetry::Termination;
 
 /// Tie-breaking strategy for the final digit when both candidate outputs are
 /// exactly equidistant from `v` (§2.2 permits any choice; Figure 1 rounds
@@ -74,8 +75,7 @@ pub struct Digits {
 /// across calls — copied, not swapped, into `r` on exit, so one warm-up
 /// conversion sizes it for good), and on return `state.r` holds
 /// the numerator of `high − V` — the "gap to high" fixed-format padding
-/// consumes (`r + m⁺` when the final digit was kept, `r + m⁺ − s` when it
-/// was incremented); `state.s` is unchanged.
+/// consumes (see [`step`]); `state.s` is unchanged.
 pub(crate) fn generate_into(
     state: &mut InitialState,
     base: u64,
@@ -90,64 +90,15 @@ pub(crate) fn generate_into(
     }
     let start = digits.len();
     let term = loop {
-        let q = state.r.div_rem_step(&state.s);
-        let d = q as u8;
-        debug_assert!((d as u64) < base, "digit out of range");
-        if fpp_telemetry::ENABLED && digits.len() == start && q >= base {
-            // First quotient ≥ B: the scaling estimate undershot by more
-            // than one, breaking the §3.2 contract (Theorem 1 is void).
+        let (d, term) = step(state, base, inc, tie, sum);
+        if fpp_telemetry::ENABLED && digits.len() == start && u64::from(d) >= base {
+            // First digit ≥ B: the scaling estimate undershot by more than
+            // one, breaking the §3.2 contract (Theorem 1 is void).
             fpp_telemetry::record_scale_violation();
         }
-        let tc1 = if inc.low_ok {
-            state.r <= state.m_minus
-        } else {
-            state.r < state.m_minus
-        };
-        sum.set_sum(&state.r, &state.m_plus);
-        let tc2 = if inc.high_ok {
-            *sum >= state.s
-        } else {
-            *sum > state.s
-        };
-        match (tc1, tc2) {
-            (false, false) => {
-                digits.push(d);
-                state.r.mul_u64(base);
-                state.m_plus.mul_u64(base);
-                state.m_minus.mul_u64(base);
-            }
-            (true, false) => {
-                digits.push(d);
-                state.r.assign(sum); // r ← r + m⁺
-                break fpp_telemetry::Termination::Low;
-            }
-            (false, true) => {
-                digits.push(d + 1);
-                debug_assert!(((d + 1) as u64) < base, "increment carried (Theorem 1)");
-                state.r.assign(sum);
-                state.r -= &state.s; // r ← r + m⁺ − s
-                break fpp_telemetry::Termination::High;
-            }
-            (true, true) => {
-                // Both candidates read back as v; pick the closer
-                // (2r vs s compares v − V_down against V_up − v).
-                let round_up = match state.r.double_cmp(&state.s) {
-                    std::cmp::Ordering::Less => false,
-                    std::cmp::Ordering::Greater => true,
-                    std::cmp::Ordering::Equal => tie.rounds_up(d),
-                };
-                state.r.assign(sum);
-                if round_up {
-                    digits.push(d + 1);
-                    debug_assert!(((d + 1) as u64) < base, "increment carried (Theorem 1)");
-                    state.r -= &state.s;
-                } else {
-                    digits.push(d);
-                }
-                break fpp_telemetry::Termination::Tie {
-                    rounded_up: round_up,
-                };
-            }
+        digits.push(d);
+        if let Some(term) = term {
+            break term;
         }
     };
     if fpp_telemetry::ENABLED {
@@ -158,6 +109,71 @@ pub(crate) fn generate_into(
             fpp_telemetry::record_scale_violation();
         }
     }
+}
+
+/// One §2.2 digit step on the big-integer registers: takes the digit
+/// `d = ⌊r/s⌋`, leaves the remainder in `r`, and applies the two
+/// termination tests. Returns the digit to emit — `d` or, when the loop
+/// ends rounding up, `d + 1` — and how the loop ended, if it did.
+///
+/// While the loop continues, `r`, `m⁺` and `m⁻` are multiplied by `B` for
+/// the next position. On termination `state.r` holds the numerator of
+/// `high − V`: `r + m⁺` when the final digit was kept, `r + m⁺ − s` when it
+/// was incremented. `state.s` never changes. `sum` is the recycled buffer
+/// for `r + m⁺`.
+#[inline]
+pub(crate) fn step(
+    state: &mut InitialState,
+    base: u64,
+    inc: Inclusivity,
+    tie: TieBreak,
+    sum: &mut Nat,
+) -> (u8, Option<Termination>) {
+    let q = state.r.div_rem_step(&state.s);
+    debug_assert!(q < base, "digit out of range");
+    // A quotient past the digit range (a broken §3.2 contract) saturates
+    // instead of wrapping, so a caller's `d >= base` check still sees it.
+    let d = u8::try_from(q).unwrap_or(u8::MAX);
+    let tc1 = if inc.low_ok {
+        state.r <= state.m_minus
+    } else {
+        state.r < state.m_minus
+    };
+    sum.set_sum(&state.r, &state.m_plus);
+    let tc2 = if inc.high_ok {
+        *sum >= state.s
+    } else {
+        *sum > state.s
+    };
+    let term = match (tc1, tc2) {
+        (false, false) => {
+            state.r.mul_u64(base);
+            state.m_plus.mul_u64(base);
+            state.m_minus.mul_u64(base);
+            return (d, None);
+        }
+        (true, false) => Termination::Low,
+        (false, true) => Termination::High,
+        // Both candidates read back as v; pick the closer (2r vs s
+        // compares v − V_down against V_up − v).
+        (true, true) => Termination::Tie {
+            rounded_up: match state.r.double_cmp(&state.s) {
+                std::cmp::Ordering::Less => false,
+                std::cmp::Ordering::Greater => true,
+                std::cmp::Ordering::Equal => tie.rounds_up(d),
+            },
+        },
+    };
+    state.r.assign(sum); // r ← r + m⁺
+    if matches!(
+        term,
+        Termination::Low | Termination::Tie { rounded_up: false }
+    ) {
+        return (d, Some(term));
+    }
+    debug_assert!(u64::from(d) + 1 < base, "increment carried (Theorem 1)");
+    state.r -= &state.s; // r ← r + m⁺ − s
+    (d + 1, Some(term))
 }
 
 /// The register's single limb, treating the empty (zero) representation as
@@ -224,13 +240,13 @@ fn generate_u64(
             (true, false) => {
                 digits.push(d);
                 r = sum; // r ← r + m⁺
-                break fpp_telemetry::Termination::Low;
+                break Termination::Low;
             }
             (false, true) => {
                 digits.push(d + 1);
                 debug_assert!(((d + 1) as u64) < base, "increment carried (Theorem 1)");
                 r = sum - s; // r ← r + m⁺ − s
-                break fpp_telemetry::Termination::High;
+                break Termination::High;
             }
             (true, true) => {
                 let round_up = match (2 * r).cmp(&s) {
@@ -246,7 +262,7 @@ fn generate_u64(
                     digits.push(d);
                     r = sum;
                 }
-                break fpp_telemetry::Termination::Tie {
+                break Termination::Tie {
                     rounded_up: round_up,
                 };
             }

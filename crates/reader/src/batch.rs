@@ -2,8 +2,8 @@
 //! columnar formatter.
 //!
 //! A [`BatchParser`] turns a column of decimal strings into a `Vec<f64>`
-//! in one pass, optionally sharded across scoped threads (the `parallel`
-//! feature, on by default) with the same splitting rules as
+//! in one pass, sharded across scoped threads with the same splitting
+//! rules as
 //! `BatchFormatter`: contiguous chunks, a minimum shard length so short
 //! columns never pay thread overhead, and results identical to the serial
 //! path regardless of thread count — parsing writes fixed-width slots, so
@@ -20,8 +20,9 @@ use crate::ParseFloatError;
 /// Tuning knobs for a [`BatchParser`].
 #[derive(Debug, Clone)]
 pub struct BatchParseOptions {
-    /// Upper bound on shard threads for the `parallel` path. `None` asks
-    /// the OS ([`std::thread::available_parallelism`]).
+    /// Upper bound on shard threads; `Some(1)` keeps every call on the
+    /// calling thread. `None` asks the OS
+    /// ([`std::thread::available_parallelism`]).
     pub threads: Option<usize>,
     /// Minimum strings per shard: inputs shorter than `2 * min_shard_len`
     /// stay serial, and shard counts are capped at `len / min_shard_len`.
@@ -192,7 +193,6 @@ impl BatchParser {
     }
 
     /// Shard count for `len` entries, mirroring the formatter's rule.
-    #[cfg(feature = "parallel")]
     fn shard_count(&self, len: usize) -> usize {
         let budget = self.opts.threads.unwrap_or_else(|| {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -201,12 +201,6 @@ impl BatchParser {
         budget.max(1).min(fed.max(1))
     }
 
-    #[cfg(not(feature = "parallel"))]
-    fn shard_count(&self, _len: usize) -> usize {
-        1
-    }
-
-    #[cfg(feature = "parallel")]
     fn run_sharded(
         &self,
         out: &mut [f64],
@@ -232,17 +226,6 @@ impl BatchParser {
             Some(err) => Err(err),
             None => Ok(()),
         }
-    }
-
-    #[cfg(not(feature = "parallel"))]
-    fn run_sharded(
-        &self,
-        _out: &mut [f64],
-        _len: usize,
-        _shards: usize,
-        _work: &(impl Fn(usize, &mut [f64]) -> Result<(), BatchParseError> + Send + Sync),
-    ) -> Result<(), BatchParseError> {
-        unreachable!("shard_count is 1 without the parallel feature")
     }
 }
 

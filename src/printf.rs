@@ -9,6 +9,11 @@ use fpp_bignum::{PowerTable, Rat};
 use fpp_core::with_thread_powers;
 use fpp_float::{Decoded, FloatFormat, SoftFloat};
 
+/// Largest precision any conversion accepts: 2²⁴ digits. Past it a
+/// request only costs time and memory; [`format_spec`] rejects it and the
+/// `format_*` functions panic.
+const MAX_PRECISION: u32 = 1 << 24;
+
 fn special(v: f64) -> Option<String> {
     match v.decode() {
         Decoded::Nan => Some("nan".to_string()),
@@ -25,9 +30,13 @@ fn special(v: f64) -> Option<String> {
 /// assert_eq!(fpp::printf::format_e(0.0, 2), "0.00e+00");
 /// assert_eq!(fpp::printf::format_e(-2.5, 0), "-2e+00"); // half-to-even
 /// ```
+///
+/// # Panics
+///
+/// Panics if `precision` exceeds 2²⁴.
 #[must_use]
 pub fn format_e(v: f64, precision: u32) -> String {
-    assert!(precision < 1 << 24, "precision above 2^24 digits");
+    assert!(precision <= MAX_PRECISION, "precision above 2^24 digits");
     if let Some(s) = special(v) {
         return s;
     }
@@ -70,9 +79,13 @@ fn zero_body(precision: u32) -> String {
 /// assert_eq!(fpp::printf::format_f(-0.0004, 3), "-0.000");
 /// assert_eq!(fpp::printf::format_f(1e21, 0), "1000000000000000000000");
 /// ```
+///
+/// # Panics
+///
+/// Panics if `precision` exceeds 2²⁴.
 #[must_use]
 pub fn format_f(v: f64, precision: u32) -> String {
-    assert!(precision <= 1 << 24, "precision above 2^24 digits");
+    assert!(precision <= MAX_PRECISION, "precision above 2^24 digits");
     if let Some(s) = special(v) {
         return s;
     }
@@ -149,8 +162,13 @@ fn absolute_digits(v: &SoftFloat, j: i32, powers: &mut PowerTable) -> Option<(Ve
 /// assert_eq!(fpp::printf::format_g(123456.0, 3), "1.23e+05");
 /// assert_eq!(fpp::printf::format_g(1500.0, 6), "1500");
 /// ```
+///
+/// # Panics
+///
+/// Panics if `precision` exceeds 2²⁴.
 #[must_use]
 pub fn format_g(v: f64, precision: u32) -> String {
+    assert!(precision <= MAX_PRECISION, "precision above 2^24 digits");
     if let Some(s) = special(v) {
         return s;
     }
@@ -206,8 +224,16 @@ pub fn format_g(v: f64, precision: u32) -> String {
 /// assert_eq!(fpp::printf::format_a(3.0, Some(3)), "0x1.800p+1");
 /// assert_eq!(fpp::printf::format_a(0.1, Some(2)), "0x1.9ap-4");
 /// ```
+///
+/// # Panics
+///
+/// Panics if `precision` is `Some(p)` with `p` above 2²⁴.
 #[must_use]
 pub fn format_a(v: f64, precision: Option<u32>) -> String {
+    assert!(
+        precision.is_none_or(|p| p <= MAX_PRECISION),
+        "precision above 2^24 digits"
+    );
     if let Some(s) = special(v) {
         return s;
     }
@@ -324,7 +350,8 @@ impl std::error::Error for SpecError {}
 ///
 /// # Errors
 ///
-/// Returns [`SpecError`] when the spec does not match the grammar above.
+/// Returns [`SpecError`] when the spec does not match the grammar above,
+/// or when the precision exceeds 2²⁴.
 ///
 /// ```
 /// use fpp::printf::format_spec;
@@ -349,9 +376,13 @@ pub fn format_spec(spec: &str, v: f64) -> Result<String, SpecError> {
                     reason: "empty precision",
                 });
             }
-            let p: u32 = rest[..digits_end].parse().map_err(|_| SpecError {
-                reason: "precision too large",
-            })?;
+            let p = rest[..digits_end]
+                .parse::<u32>()
+                .ok()
+                .filter(|&p| p <= MAX_PRECISION)
+                .ok_or(SpecError {
+                    reason: "precision too large",
+                })?;
             (Some(p), &rest[digits_end..])
         }
     };
@@ -485,6 +516,15 @@ mod tests {
         assert_eq!(format_spec("%F", f64::INFINITY).unwrap(), "INF");
         for bad in ["f", "%", "%.f", "%q", "%.2", "%.2x", "%ff"] {
             assert!(format_spec(bad, 1.0).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn format_spec_rejects_precision_above_bound() {
+        let p = MAX_PRECISION + 1;
+        for c in ["e", "E", "f", "F", "g", "G", "a", "A"] {
+            let err = format_spec(&format!("%.{p}{c}"), 1.0).unwrap_err();
+            assert_eq!(err.to_string(), "invalid format spec: precision too large");
         }
     }
 

@@ -106,15 +106,20 @@ fn sampled_f64_fixed_parity_both_modes() {
     }
 }
 
-/// The incremental [`DigitStream`] and the one-shot sink pipeline implement
+/// The incremental [`DigitStream`] and the one-shot pipelines implement
 /// the same algorithm and must produce identical shortest-form digits and
-/// scale for the same value.
+/// scale for the same value: against the sink's base-10 text, and against
+/// [`free_format_digits`] for every base, reader rounding mode, tie rule
+/// and scaling strategy. The stream runs the big-register digit step on
+/// every value while `free_format_digits` takes the single-limb `u64` loop
+/// wherever the registers fit, so this also cross-checks the two loops.
 ///
 /// [`DigitStream`]: fpp::core::DigitStream
+/// [`free_format_digits`]: fpp::core::free_format_digits
 #[test]
 fn digit_stream_agrees_with_sink_digits() {
     use fpp::bignum::PowerTable;
-    use fpp::core::DigitStream;
+    use fpp::core::{free_format_digits, DigitStream, ScalingStrategy, TieBreak};
     use fpp::float::{RoundingMode, SoftFloat};
 
     let workload: Vec<f64> = special_values()
@@ -143,5 +148,46 @@ fn digit_stream_agrees_with_sink_digits() {
         let streamed: Vec<u8> = stream.collect();
         assert_eq!(streamed, digits, "{v:e}");
         assert_eq!(k, exp_txt.parse::<i32>().unwrap() + 1, "{v:e}");
+    }
+
+    let values: Vec<SoftFloat> = special_values()
+        .into_iter()
+        .chain(uniform_bit_doubles(0x57e9).take(50))
+        .filter_map(SoftFloat::from_f64)
+        .collect();
+    let modes = [
+        RoundingMode::NearestEven,
+        RoundingMode::NearestAwayFromZero,
+        RoundingMode::NearestTowardZero,
+        RoundingMode::TowardZero,
+        RoundingMode::AwayFromZero,
+        RoundingMode::Conservative,
+    ];
+    let strategies = [
+        ScalingStrategy::Estimate,
+        ScalingStrategy::Log,
+        ScalingStrategy::Iterative,
+        ScalingStrategy::Gay,
+    ];
+    for base in [2u64, 10, 16, 36] {
+        let mut powers = PowerTable::new(base);
+        for sf in &values {
+            for mode in modes {
+                for tie in [TieBreak::Up, TieBreak::Down, TieBreak::Even] {
+                    for strategy in strategies {
+                        let stream =
+                            DigitStream::with_options(sf, strategy, mode, tie, &mut powers);
+                        let k = stream.k();
+                        let streamed: Vec<u8> = stream.collect();
+                        let batch = free_format_digits(sf, strategy, mode, tie, &mut powers);
+                        assert_eq!(
+                            (streamed, k),
+                            (batch.digits, batch.k),
+                            "{sf} base {base} {mode:?} {tie:?} {strategy:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
