@@ -20,6 +20,11 @@ cargo build --workspace --release
 echo "== test =="
 cargo test --workspace -q
 
+echo "== exact-engine oracle: full sweeps (release) =="
+# Tier-1 runs tests/oracle.rs on a slice (special values + 50 random-bit
+# doubles); the 800-value sweeps behind #[ignore] run here.
+cargo test --release -q --test oracle -- --ignored
+
 echo "== allocation regression (release) =="
 cargo test --release -q --test alloc_count
 
@@ -56,11 +61,15 @@ grep -q '"parity_checked": true' "$QUICK/BENCH_fastpath.json" \
 echo "== reader: parse parity + round-trip batteries (release) =="
 # The Eisel–Lemire tiers against the exact big-integer oracle and std:
 # generated literals, adversarial halfway corpus, the sampled 10M-value
-# round trip, and the fast-grammar edge cases.
+# round trip, the fast-grammar edge cases, and the byte scanner's grammar
+# at its 8-byte seams (plus the every-string sweep up to 7 bytes, ignored
+# by default — it needs release-mode speed).
 cargo test --release -q --test reader_differential
 cargo test --release -q --test reader_adversarial
 cargo test --release -q --test reader_roundtrip
 cargo test --release -q --test reader_edgecases
+cargo test --release -q --test reader_scan_grammar
+cargo test --release -q --test reader_scan_grammar -- --ignored
 
 echo "== reader: round-trip bench smoke + BENCH_reader.json schema =="
 cargo run -p fpp-bench --release --bin roundtrip -- --quick

@@ -12,8 +12,10 @@
 //! For zero-copy round-trip pipelines it also consumes the printing
 //! engine's arena layout directly: [`BatchParser::parse_offsets`] walks a
 //! `(bytes, offsets)` pair — exactly what `fpp_batch::BatchOutput` exposes
-//! via `arena()`/`offsets()` — without materializing any `&str` slice
-//! first. The `roundtrip` bench drives print→parse through this interface.
+//! via `arena()`/`offsets()` — and hands each entry's bytes straight to the
+//! fast tiers, without materializing a `&str`. Only an entry the fast
+//! tiers decline is checked for UTF-8 and read by the exact reader. The
+//! `roundtrip` bench drives print→parse through this interface.
 
 use crate::ParseFloatError;
 
@@ -163,13 +165,21 @@ impl BatchParser {
                     index: i,
                     error: ParseFloatError::new(reason),
                 };
-                let text = arena
+                let bytes = arena
                     .get(offsets[i] as usize..offsets[i + 1] as usize)
                     .ok_or_else(|| fail("arena offsets out of bounds"))?;
-                let text =
-                    std::str::from_utf8(text).map_err(|_| fail("entry is not valid UTF-8"))?;
-                *slot =
-                    crate::read_f64(text).map_err(|error| BatchParseError { index: i, error })?;
+                // The scanner takes ASCII only, so an entry the fast tiers
+                // answer is valid UTF-8; the check runs on the rest, before
+                // the exact reader `read_f64` would fall back to as well.
+                *slot = match crate::convert::read_fast::<f64>(bytes) {
+                    Some(v) => v,
+                    None => {
+                        let text = std::str::from_utf8(bytes)
+                            .map_err(|_| fail("entry is not valid UTF-8"))?;
+                        crate::read_f64_exact(text)
+                            .map_err(|error| BatchParseError { index: i, error })?
+                    }
+                };
             }
             Ok(())
         })

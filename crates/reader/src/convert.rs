@@ -5,7 +5,7 @@
 use crate::fast::fast_path;
 use crate::lemire::eisel_lemire;
 use crate::parse::Literal;
-use crate::scan::ScannedDecimal;
+use crate::scan::{scan_decimal, ScannedDecimal};
 use crate::soft::{round_to_format, Rounded, SoftFormat};
 use fpp_bignum::Nat;
 use fpp_float::{Decoded, FloatFormat, RoundingMode};
@@ -61,17 +61,22 @@ pub fn decimal_to_float<F: FloatFormat>(lit: &Literal, base: u64, rounding: Roun
     }
 }
 
-/// Converts a scanned base-10 literal through the fast tiers only, under
-/// round-to-nearest-even. `None` means no tier could certify the rounding
-/// (or `F` is not a hardware format) and the caller must take the general
-/// parse → exact route. Records reader telemetry on success.
-pub(crate) fn scanned_to_float<F: FloatFormat>(sc: &ScannedDecimal) -> Option<F> {
+/// The fast tiers' byte entry: scans a plain base-10 literal and converts
+/// it under round-to-nearest-even without big-integer arithmetic. `None`
+/// means the bytes are outside the scanner's grammar, a dropped tail
+/// leaves the rounding open (see [`scanned_magnitude`]), or `F` is not a
+/// hardware format; the caller then takes the general parse → exact
+/// route. The scanner accepts ASCII only,
+/// so bytes that come back `Some` are valid UTF-8. Records reader
+/// telemetry on success.
+pub(crate) fn read_fast<F: FloatFormat>(bytes: &[u8]) -> Option<F> {
+    let sc = scan_decimal(bytes)?;
     if F::PRECISION == 53 && F::MIN_EXP == -1074 {
-        let (v, path) = scanned_magnitude::<f64>(sc, true)?;
+        let (v, path) = scanned_magnitude::<f64>(&sc, true)?;
         fpp_telemetry::record_read(path);
         Some(reencode(v, sc.negative))
     } else if F::PRECISION == 24 && F::MIN_EXP == -149 {
-        let (v, path) = scanned_magnitude::<f32>(sc, false)?;
+        let (v, path) = scanned_magnitude::<f32>(&sc, false)?;
         fpp_telemetry::record_read(path);
         Some(reencode(v, sc.negative))
     } else {
@@ -84,18 +89,15 @@ pub(crate) fn scanned_to_float<F: FloatFormat>(sc: &ScannedDecimal) -> Option<F>
 /// prefix `w` with a dropped non-zero tail pins the true value inside
 /// `(w, w+1) × 10^q`, so when both endpoints round to the same float, every
 /// value between them does too (rounding is monotone) and that float is the
-/// answer. Disagreement — or any tier rejection — returns `None`.
+/// answer. Only that disagreement returns `None`.
 fn scanned_magnitude<F: crate::lemire::LemireFloat>(
     sc: &ScannedDecimal,
     try_clinger: bool,
 ) -> Option<(F, ReadPath)> {
     if sc.truncated {
-        let low = eisel_lemire::<F>(sc.mantissa, sc.exponent)?;
-        let high = eisel_lemire::<F>(sc.mantissa + 1, sc.exponent)?;
-        if low.to_bits_u64() != high.to_bits_u64() {
-            return None;
-        }
-        return Some((low, ReadPath::EiselLemire));
+        let low = eisel_lemire::<F>(sc.mantissa, sc.exponent);
+        let high = eisel_lemire::<F>(sc.mantissa + 1, sc.exponent);
+        return (low.to_bits_u64() == high.to_bits_u64()).then_some((low, ReadPath::EiselLemire));
     }
     if try_clinger && F::PRECISION == 53 {
         if let Some(v) = fast_path(sc.mantissa, sc.exponent) {
@@ -104,7 +106,7 @@ fn scanned_magnitude<F: crate::lemire::LemireFloat>(
         }
     }
     Some((
-        eisel_lemire::<F>(sc.mantissa, sc.exponent)?,
+        eisel_lemire::<F>(sc.mantissa, sc.exponent),
         ReadPath::EiselLemire,
     ))
 }

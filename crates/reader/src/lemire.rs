@@ -1,19 +1,21 @@
 //! The Eisel–Lemire fast path: correctly rounded `w × 10^q → binary` via
 //! one (sometimes two) 64×128-bit truncated multiplications against a
-//! cached table of 128-bit power-of-five significands.
+//! table of 128-bit power-of-ten significands (Lemire, *Number Parsing at
+//! a Gigabyte per Second*, SPE 2021).
 //!
-//! Lemire, *Number Parsing at a Gigabyte per
-//! Second*, SPE 2021): approximate the product of the decimal coefficient
-//! with a 128-bit significand of `10^q`, prove from the truncated bits that
-//! rounding cannot be affected by the discarded tail, and otherwise
-//! **reject** — the caller falls back to the exact big-integer reader, so
-//! the composed routine is correctly rounded by construction.
+//! The truncated product always decides the rounding, so there is no
+//! fallback: Mushtak and Lemire (*Fast Number Parsing Without Fallback*,
+//! SPE 2023) show that the discarded tail of the product can never carry
+//! into the bits the result is read from. The unit test
+//! `truncated_product_always_decides_the_rounding` re-runs that proof over
+//! this table, one modular-minimum search per `q`, in exact `fpp-bignum`
+//! arithmetic.
 //!
 //! The 128-bit significands come from the static table shared with the
 //! printer, [`fpp_float::pow10`]: `T[q]` for `q ≥ 0` (floor-truncated) and
 //! `T[q] + 1` for `q < 0` (a ceiling, since `10^q` is never dyadic there) —
-//! exactly the convention the uncertainty analysis in DESIGN.md §13
-//! assumes. The normalized significand of `10^q` is that of `5^q`.
+//! exactly the convention the analysis in DESIGN.md §13 assumes. The
+//! normalized significand of `10^q` is that of `5^q`.
 
 use fpp_float::{pow10, FloatFormat};
 
@@ -130,19 +132,17 @@ fn compute_product_approx(q: i32, w: u64, precision: u32) -> (u64, u64) {
     (first_lo, first_hi)
 }
 
-/// Attempts the Eisel–Lemire conversion of the non-negative decimal
-/// `w × 10^q` into format `F`, rounding to nearest-even.
-///
-/// Returns `None` when the truncated product cannot certify the rounding —
-/// the caller must fall back to the exact big-integer path. `Some` results
-/// are correctly rounded (the adversarial and differential suites check
-/// this bit-for-bit against the exact reader and `str::parse`).
-pub(crate) fn eisel_lemire<F: LemireFloat>(w: u64, q: i64) -> Option<F> {
+/// The Eisel–Lemire conversion of the non-negative decimal `w × 10^q`
+/// into format `F`, rounding to nearest-even. Total on every `u64`
+/// coefficient: the result is correctly rounded (the adversarial and
+/// differential suites check this bit-for-bit against the exact reader
+/// and `str::parse`).
+pub(crate) fn eisel_lemire<F: LemireFloat>(w: u64, q: i64) -> F {
     if w == 0 || q < i64::from(F::SMALLEST_POWER) {
-        return Some(F::from_biased(0, 0));
+        return F::from_biased(0, 0);
     }
     if q > i64::from(F::LARGEST_POWER) {
-        return Some(F::infinity(false));
+        return F::infinity(false);
     }
     let q = q as i32;
     let explicit_bits = F::PRECISION as i32 - 1;
@@ -152,25 +152,20 @@ pub(crate) fn eisel_lemire<F: LemireFloat>(w: u64, q: i64) -> Option<F> {
     let lz = w.leading_zeros() as i32;
     let w = w << lz;
     let (lo, hi) = compute_product_approx(q, w, (explicit_bits + 3) as u32);
-    if lo == u64::MAX && !(-27..=55).contains(&q) {
-        // The truncated product is saturated and `5^|q|` does not fit in
-        // 128 bits: the discarded tail could flip the rounding. Reject.
-        return None;
-    }
     let upperbit = (hi >> 63) as i32;
     let mut mantissa = hi >> (upperbit + 64 - explicit_bits - 3);
     let mut power2 = pow10::floor_log2_pow10(q) + 63 + upperbit - lz - minimum_exponent;
     if power2 <= 0 {
         // Subnormal range (or complete underflow).
         if -power2 + 1 >= 64 {
-            return Some(F::from_biased(0, 0));
+            return F::from_biased(0, 0);
         }
         mantissa >>= -power2 + 1;
         mantissa += mantissa & 1; // round up on half
         mantissa >>= 1;
         // Rounding can carry back up into the smallest normal.
         let biased = i32::from(mantissa >= (1u64 << explicit_bits));
-        return Some(F::from_biased(mantissa, biased));
+        return F::from_biased(mantissa, biased);
     }
     // Round-to-even correction: if the product is exact (`lo ≤ 1` after a
     // possibly-exact second multiply, within the `q` range where halfway
@@ -192,18 +187,17 @@ pub(crate) fn eisel_lemire<F: LemireFloat>(w: u64, q: i64) -> Option<F> {
         power2 += 1;
     }
     if power2 >= infinite_power {
-        return Some(F::infinity(false));
+        return F::infinity(false);
     }
-    Some(F::from_biased(mantissa, power2))
+    F::from_biased(mantissa, power2)
 }
 
-/// Attempts the Eisel–Lemire fast conversion of `digits × 10^exponent` to
-/// a **non-negative** `f64` under round-to-nearest-even.
+/// The Eisel–Lemire conversion of `digits × 10^exponent` to a
+/// **non-negative** `f64` under round-to-nearest-even, correctly rounded
+/// for every `u64` coefficient and every exponent.
 ///
-/// Returns `None` when the truncated-product analysis cannot certify the
-/// result; the composed reader ([`crate::read_f64`]) then falls back to
-/// the exact big-integer path, so rejections are a correctness-neutral
-/// performance event (counted as `reader_exact_fallbacks` by telemetry).
+/// Always `Some`: the tier has no rejection path (see the module docs).
+/// The `Option` is kept so existing callers compile unchanged.
 ///
 /// ```
 /// assert_eq!(fpp_reader::eisel_lemire_f64(3, -1), Some(0.3));
@@ -212,7 +206,7 @@ pub(crate) fn eisel_lemire<F: LemireFloat>(w: u64, q: i64) -> Option<F> {
 /// ```
 #[must_use]
 pub fn eisel_lemire_f64(digits: u64, exponent: i64) -> Option<f64> {
-    eisel_lemire::<f64>(digits, exponent)
+    Some(eisel_lemire::<f64>(digits, exponent))
 }
 
 #[cfg(test)]
@@ -220,6 +214,118 @@ mod tests {
     use super::*;
 
     use fpp_bignum::Nat;
+    use std::cmp::Ordering;
+
+    /// `min { a·w mod m : 1 ≤ w ≤ n }` for `0 < a < m` and `n ≥ 1`, by the
+    /// subtractive Euclid walk behind the three-distance theorem.
+    /// `(w_up, up)` holds the smallest residue above zero found so far
+    /// (`a·w_up ≡ up`), `(w_down, down)` the smallest distance below a
+    /// multiple of `m` (`a·w_down ≡ −down`). Each step takes the smaller
+    /// gap from the larger one as often as the gap stays positive and the
+    /// multiplier stays within `n`; the walk visits every record minimum.
+    fn min_mod_multiple(a: &Nat, m: &Nat, n: u64) -> Nat {
+        let (mut w_up, mut up) = (1u64, a.clone());
+        let (mut w_down, mut down) = (1u64, m - a);
+        loop {
+            match up.cmp(&down) {
+                Ordering::Greater => {
+                    let k = steps(&up, &down).min((n - w_up) / w_down);
+                    if k == 0 {
+                        return up;
+                    }
+                    w_up += k * w_down;
+                    up -= &down * k;
+                }
+                Ordering::Less => {
+                    let k = steps(&down, &up).min((n - w_down) / w_up);
+                    if k == 0 {
+                        return up;
+                    }
+                    w_down += k * w_up;
+                    down -= &up * k;
+                }
+                // a·(w_up + w_down) ≡ 0 (mod m).
+                Ordering::Equal => {
+                    return match w_up.checked_add(w_down) {
+                        Some(w) if w <= n => Nat::zero(),
+                        _ => up,
+                    };
+                }
+            }
+        }
+    }
+
+    /// `⌊(big − 1) / small⌋`: how often `small` can be taken from `big`
+    /// leaving it positive, saturated to `u64`.
+    fn steps(big: &Nat, small: &Nat) -> u64 {
+        let mut b = big.clone();
+        b.sub_u64(1);
+        u64::try_from(&(&b / small)).unwrap_or(u64::MAX)
+    }
+
+    #[test]
+    fn min_mod_multiple_matches_brute_force() {
+        for m in [2u64, 3, 64, 97, 256, 360, 1024] {
+            for a in 1..m {
+                for n in [1, 2, 3, 7, m / 3 + 1, m - 1, m, 2 * m + 5] {
+                    let brute = (1..=n).map(|w| a * w % m).min().unwrap();
+                    let got = min_mod_multiple(&Nat::from(a), &Nat::from(m), n);
+                    assert_eq!(got, Nat::from(brute), "a = {a}, m = {m}, n = {n}");
+                }
+            }
+        }
+    }
+
+    /// Mushtak–Lemire's no-fallback theorem, re-proved over this table.
+    ///
+    /// Let `U = w·T` be the 192-bit product of the normalized coefficient
+    /// `w < 2^64` with the 128-bit entry `T`, and `X` the exact product on
+    /// the same scale. The mantissa and the rounding bit come from the bits
+    /// of `U` at and above `B = 137` (the high word shifted right by
+    /// `64 − (52 + 3)`, plus `upperbit`; `f32` reads from bit 166, so its
+    /// case follows). When the second multiply is skipped, the high word
+    /// is short by at most one carry that cannot cross its low nine bits.
+    /// So the result is `X`'s whenever no multiple of `2^B` separates `X`
+    /// and `U`, which holds for every `w` when:
+    /// - `0 ≤ q ≤ 55`: `5^q < 2^128`, the entry is exact and `X = U`;
+    /// - `q > 55` (floor entry, `X − U ∈ [0, w)`): `−w·T mod 2^B ≥ 2^64`;
+    /// - `q < −27` (ceiling entry, `U − X ∈ (0, w)`): `w·T mod 2^B ≥ 2^64`;
+    /// - `−27 ≤ q < 0` (`m = −q`, `T = ⌈2^b / 5^m⌉`): a multiple `j·2^B`
+    ///   in `(X, U]` makes `j·2^B·5^m − w·2^b` a positive multiple of
+    ///   `2^min(b, B)` below `2^64·(T·5^m − 2^b)`, so that bound must not
+    ///   reach `2^min(b, B)`.
+    ///
+    /// The two modular conditions are one minimum search each over every
+    /// `w ∈ [1, 2^64)`, so the theorem covers any `u64` coefficient, not
+    /// only 19-digit ones. The round-to-even correction, which also reads
+    /// lower bits, runs only inside `q ∈ [−4, 23]` (`f32`: `[−17, 10]`) and
+    /// rests on Lemire's exactness argument there.
+    #[test]
+    fn truncated_product_always_decides_the_rounding() {
+        const B: u32 = 128 + 64 - (52 + 3);
+        let modulus = &Nat::one() << B;
+        let gap = &Nat::one() << 64;
+        for q in SMALLEST_POWER_OF_TEN..=LARGEST_POWER_OF_TEN {
+            let (hi, lo) = significand(q);
+            let t = Nat::from_limbs(vec![lo, hi]);
+            let p = Nat::u64_pow(5, q.unsigned_abs());
+            if (0..=55).contains(&q) {
+                assert_eq!(t, &p << (128 - p.bit_len() as u32), "q = {q}: exact entry");
+            } else if (-27..0).contains(&q) {
+                let b = p.bit_len() as u32 + 127;
+                let slack = &(&t * &p) - &(&Nat::one() << b);
+                let bound = &Nat::one() << b.min(B);
+                assert!(&slack * &gap < bound, "q = {q}: reciprocal slack too wide");
+            } else {
+                let a = if q < 0 { t } else { &modulus - &t };
+                let min = min_mod_multiple(&a, &modulus, u64::MAX);
+                assert!(
+                    min >= gap,
+                    "q = {q}: a product lies {min} from a 2^{B} boundary"
+                );
+            }
+        }
+    }
 
     /// The truncation directions the uncertainty analysis relies on, on
     /// every entry the reader reads, proven in exact integer arithmetic.
@@ -290,7 +396,7 @@ mod tests {
             (1, 39, f32::INFINITY),
         ];
         for &(w, q, expect) in cases {
-            let got = eisel_lemire::<f32>(w, q).expect("in fast region");
+            let got = eisel_lemire::<f32>(w, q);
             assert_eq!(got.to_bits(), expect.to_bits(), "{w}e{q}");
         }
     }

@@ -14,10 +14,12 @@
 //! representable significand by scaled division, and round with an exact
 //! remainder comparison ([`read_soft`] for any format; the hardware formats
 //! are its base-2 instance). Plain base-10 literals under the IEEE default
-//! rounding first try two fast tiers on a `u64` scan — Clinger's
-//! one-operation path (Gay's observation, cited in §5 of the printing
-//! paper) and Eisel–Lemire's truncated product — which either return the
-//! correctly rounded result or reject to the exact reader.
+//! rounding first go through a byte scanner that reads eight digits at a
+//! time into a `u64`, then two fast tiers — Clinger's one-operation path
+//! (Gay's observation, cited in §5 of the printing paper) and
+//! Eisel–Lemire's truncated product, which has no fallback. Only literals
+//! past 19 digits whose dropped tail straddles a rounding boundary, and
+//! the grammar the scanner does not take, reach the exact reader.
 //!
 //! # Examples
 //!
@@ -98,14 +100,12 @@ pub fn read_float<F: FloatFormat>(
     // The common case — a plain base-10 literal under the IEEE default
     // rounding — goes through the u64 scanner and the fast tiers (Clinger,
     // Eisel–Lemire) without ever touching big-integer accumulation. Any
-    // rejection at any stage falls through to the general parse below; the
-    // scanner accepts a strict subset of `parse_literal`'s grammar, so no
-    // input changes between Ok and Err by taking this route.
+    // decline falls through to the general parse below; the scanner
+    // accepts a strict subset of `parse_literal`'s grammar, so no input
+    // changes between Ok and Err by taking this route.
     if base == 10 && matches!(rounding, RoundingMode::NearestEven) {
-        if let Some(sc) = scan::scan_decimal(s) {
-            if let Some(v) = convert::scanned_to_float::<F>(&sc) {
-                return Ok(v);
-            }
+        if let Some(v) = convert::read_fast::<F>(s.as_bytes()) {
+            return Ok(v);
         }
     }
     let literal = parse_literal(s, base)?;
@@ -115,18 +115,19 @@ pub fn read_float<F: FloatFormat>(
 /// Reads an `f64` through the fast tiers **only** (scan → Clinger →
 /// Eisel–Lemire), never allocating and never running big-integer
 /// arithmetic. Returns `None` when the literal is outside the fast grammar
-/// or no tier can certify the rounding — exactly the cases
-/// [`read_f64`] hands to the exact fallback. Intended for acceptance-rate
+/// or has more than 19 significant digits with a dropped tail that
+/// straddles a rounding boundary — exactly the cases [`read_f64`] hands
+/// to the exact fallback. Intended for acceptance-rate
 /// audits and benches; `Some` results are bit-identical to [`read_f64`].
 #[must_use]
 pub fn read_f64_fast(s: &str) -> Option<f64> {
-    convert::scanned_to_float::<f64>(&scan::scan_decimal(s)?)
+    convert::read_fast::<f64>(s.as_bytes())
 }
 
 /// `f32` counterpart of [`read_f64_fast`].
 #[must_use]
 pub fn read_f32_fast(s: &str) -> Option<f32> {
-    convert::scanned_to_float::<f32>(&scan::scan_decimal(s)?)
+    convert::read_fast::<f32>(s.as_bytes())
 }
 
 /// Reads an `f64` through the exact big-integer reader **only**, skipping

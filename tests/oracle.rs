@@ -1,6 +1,10 @@
 //! Differential tests: the optimized §3 integer pipeline against the §2.2
 //! exact rational oracle, against the independent Steele–White baseline,
 //! and across all four scaling strategies.
+//!
+//! Each check runs twice: on a tier-1 slice (every special value plus 50
+//! random-bit doubles) and, as an `--ignored` test, on the full sweep
+//! (800 random-bit doubles), which `ci.sh` runs in release mode.
 
 use fpp::baseline::steele_white::steele_white_digits;
 use fpp::bignum::PowerTable;
@@ -8,17 +12,38 @@ use fpp::core::{free_digits_exact, free_format_digits, Inclusivity, ScalingStrat
 use fpp::float::{RoundingMode, SoftFloat};
 use fpp::testgen::{special_values, uniform_bit_doubles};
 
-fn workload() -> Vec<f64> {
+/// Every special value plus the first `random` random-bit doubles.
+fn workload(random: usize) -> Vec<f64> {
     special_values()
         .into_iter()
-        .chain(uniform_bit_doubles(11).take(800))
+        .chain(uniform_bit_doubles(11).take(random))
         .collect()
+}
+
+/// The tier-1 slice.
+fn slice() -> Vec<f64> {
+    workload(50)
+}
+
+/// The full sweep, run in release mode with `--ignored`.
+fn full() -> Vec<f64> {
+    workload(800)
 }
 
 #[test]
 fn integer_pipeline_matches_rational_oracle_base10() {
+    rational_oracle_base10(&slice());
+}
+
+#[test]
+#[ignore = "full sweep; run in release (ci.sh)"]
+fn integer_pipeline_matches_rational_oracle_base10_full() {
+    rational_oracle_base10(&full());
+}
+
+fn rational_oracle_base10(values: &[f64]) {
     let mut powers = PowerTable::new(10);
-    for v in workload() {
+    for &v in values {
         let sf = SoftFloat::from_f64(v).unwrap();
         for (mode, inc) in [
             (
@@ -69,9 +94,19 @@ fn integer_pipeline_matches_rational_oracle_base10() {
 
 #[test]
 fn integer_pipeline_matches_rational_oracle_other_bases() {
+    rational_oracle_other_bases(&slice());
+}
+
+#[test]
+#[ignore = "full sweep; run in release (ci.sh)"]
+fn integer_pipeline_matches_rational_oracle_other_bases_full() {
+    rational_oracle_other_bases(&full());
+}
+
+fn rational_oracle_other_bases(values: &[f64]) {
     for base in [2u64, 3, 7, 16, 36] {
         let mut powers = PowerTable::new(base);
-        for v in workload().into_iter().take(120) {
+        for &v in values.iter().take(120) {
             let sf = SoftFloat::from_f64(v).unwrap();
             let fast = free_format_digits(
                 &sf,
@@ -100,6 +135,16 @@ fn integer_pipeline_matches_rational_oracle_other_bases() {
 
 #[test]
 fn all_scaling_strategies_produce_identical_digits() {
+    scaling_strategies_agree(&slice());
+}
+
+#[test]
+#[ignore = "full sweep; run in release (ci.sh)"]
+fn all_scaling_strategies_produce_identical_digits_full() {
+    scaling_strategies_agree(&full());
+}
+
+fn scaling_strategies_agree(values: &[f64]) {
     let mut powers = PowerTable::new(10);
     let strategies = [
         ScalingStrategy::Iterative,
@@ -107,7 +152,7 @@ fn all_scaling_strategies_produce_identical_digits() {
         ScalingStrategy::Estimate,
         ScalingStrategy::Gay,
     ];
-    for v in workload() {
+    for &v in values {
         let sf = SoftFloat::from_f64(v).unwrap();
         let reference = free_format_digits(
             &sf,
@@ -135,11 +180,21 @@ fn all_scaling_strategies_produce_identical_digits() {
 
 #[test]
 fn matches_independent_steele_white_implementation() {
+    steele_white_agrees(&slice());
+}
+
+#[test]
+#[ignore = "full sweep; run in release (ci.sh)"]
+fn matches_independent_steele_white_implementation_full() {
+    steele_white_agrees(&full());
+}
+
+fn steele_white_agrees(values: &[f64]) {
     // With a conservative rounding assumption, Burger–Dybvig must produce
     // exactly Steele & White's output (the B-D algorithm *is* Steele &
     // White's plus faster scaling and mode awareness).
     let mut powers = PowerTable::new(10);
-    for v in workload() {
+    for &v in values {
         let sf = SoftFloat::from_f64(v).unwrap();
         let sw = steele_white_digits(&sf, 10);
         let bd = free_format_digits(
@@ -155,11 +210,21 @@ fn matches_independent_steele_white_implementation() {
 
 #[test]
 fn matches_rust_std_shortest_formatting() {
+    std_shortest_agrees(&slice());
+}
+
+#[test]
+#[ignore = "full sweep; run in release (ci.sh)"]
+fn matches_rust_std_shortest_formatting_full() {
+    std_shortest_agrees(&full());
+}
+
+fn std_shortest_agrees(values: &[f64]) {
     // Rust's `{}` formatting is itself a shortest-round-trip printer with
     // round-to-even semantics, so the digit sequences must agree (layout
     // differs; compare digits and exponent via parsing the digit strings).
     let mut powers = PowerTable::new(10);
-    for v in workload() {
+    for &v in values {
         let sf = SoftFloat::from_f64(v).unwrap();
         let d = free_format_digits(
             &sf,
