@@ -4,10 +4,6 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-# The bench smoke runs (--quick) write their reports here, never over the
-# committed full-run BENCH_*.json at the repository root.
-QUICK=target/bench-quick
-
 echo "== fmt =="
 cargo fmt --all -- --check
 
@@ -31,32 +27,12 @@ cargo test --release -q --test alloc_count
 echo "== batch parity (release) =="
 cargo test --release -q --test batch_parity
 
-echo "== batch throughput smoke + BENCH_batch.json schema =="
-cargo run -p fpp-bench --release --bin throughput -- --quick
-for key in bench schema_version threads element_count workloads floats_per_sec \
-           mb_per_sec summary scalar_floats_per_sec \
-           sharded_floats_per_sec sharded_vs_scalar parity_checked; do
-  grep -q "\"$key\"" "$QUICK/BENCH_batch.json" \
-    || { echo "BENCH_batch.json missing key: $key"; exit 1; }
-done
-
 echo "== fast path: parity tests (release) =="
 # Byte-for-byte parity of the Schubfach fast tier against the exact engine:
 # the pinned/sampled/stratified/half-precision suites, plus the 10M-sample
 # sweep (ignored by default — it needs release-mode speed).
 cargo test --release -q --test fastpath_parity
 cargo test --release -q --test fastpath_parity -- --ignored ten_million
-
-echo "== fast path: bench smoke + BENCH_fastpath.json schema =="
-cargo run -p fpp-bench --release --bin fastpath -- --quick
-for key in bench schema_version quick element_count workloads accept_rate \
-           exact_floats_per_sec fast_floats_per_sec speedup summary \
-           parity_checked; do
-  grep -q "\"$key\"" "$QUICK/BENCH_fastpath.json" \
-    || { echo "BENCH_fastpath.json missing key: $key"; exit 1; }
-done
-grep -q '"parity_checked": true' "$QUICK/BENCH_fastpath.json" \
-  || { echo "fast-path parity audit did not run"; exit 1; }
 
 echo "== reader: parse parity + round-trip batteries (release) =="
 # The Eisel–Lemire tiers against the exact big-integer oracle and std:
@@ -70,17 +46,6 @@ cargo test --release -q --test reader_roundtrip
 cargo test --release -q --test reader_edgecases
 cargo test --release -q --test reader_scan_grammar
 cargo test --release -q --test reader_scan_grammar -- --ignored
-
-echo "== reader: round-trip bench smoke + BENCH_reader.json schema =="
-cargo run -p fpp-bench --release --bin roundtrip -- --quick
-for key in bench schema_version quick element_count workloads accept_rate \
-           exact_floats_per_sec fast_floats_per_sec speedup \
-           roundtrip_floats_per_sec roundtrip_ok summary parity_checked; do
-  grep -q "\"$key\"" "$QUICK/BENCH_reader.json" \
-    || { echo "BENCH_reader.json missing key: $key"; exit 1; }
-done
-grep -q '"roundtrip_ok": true' "$QUICK/BENCH_reader.json" \
-  || { echo "round-trip bit audit did not pass"; exit 1; }
 
 echo "== telemetry build + tests (--features telemetry) =="
 # The instrumented configuration is a separate feature unification: build it,
@@ -96,16 +61,13 @@ echo "== telemetry-off zero-cost guard (release) =="
 # allocator must see zero steady-state allocations, same as the seed.
 cargo test --release -q --test alloc_count
 
-echo "== live stats smoke + BENCH_telemetry.json schema =="
-cargo run -p fpp-bench --release --features telemetry --bin stats_live -- --quick
-for key in bench schema_version quick telemetry_enabled threads element_count \
-           distinct_values digit_len_hist digit_len_offline histogram_match \
-           mean_digits fixup_rate scale_violations term fastpath scratch \
-           sharded; do
-  grep -q "\"$key\"" "$QUICK/BENCH_telemetry.json" \
-    || { echo "BENCH_telemetry.json missing key: $key"; exit 1; }
+echo "== repository benchmark: traced smoke on the gated workloads (release) =="
+# The ledger (ledger/, its own package outside the workspace) checks every
+# value against a std-only oracle and exits non-zero on any failure. Its
+# records land in target/ledger/smoke-*.json.
+for w in shortest_uniform decimal_telemetry; do
+  cargo run --quiet --offline --release --manifest-path ledger/Cargo.toml -- \
+    --workload "$w" --smoke --seconds 2 --trace 1
 done
-grep -q '"histogram_match": true' "$QUICK/BENCH_telemetry.json" \
-  || { echo "live digit histogram diverged from offline recount"; exit 1; }
 
 echo "CI OK"

@@ -1,42 +1,26 @@
-//! Benchmark harness for the Burger–Dybvig reproduction.
+//! Paper-table harness for the Burger–Dybvig reproduction.
 //!
 //! The paper's evaluation (§3.2 Table 2, §5 Table 3) times conversions of a
 //! Schryer-style test set of positive normalized doubles to base 10. This
 //! crate provides the shared sweep machinery used by both the Criterion
 //! micro-benchmarks (`benches/`) and the table-regenerating report binaries
-//! (`src/bin/table2.rs`, `src/bin/table3.rs`, `src/bin/digit_stats.rs`):
+//! (`src/bin/table2.rs`, `src/bin/table3.rs`, `src/bin/digit_stats.rs`,
+//! `src/bin/verify.rs`):
 //!
 //! ```bash
 //! cargo run -p fpp-bench --release --bin table2
 //! cargo run -p fpp-bench --release --bin table3
 //! cargo run -p fpp-bench --release --bin digit_stats
 //! ```
+//!
+//! Throughput of the print and parse pipeline, end to end and per layer,
+//! is measured by the repository benchmark in `ledger/`, not here; the
+//! parity audits that guard those paths are tests under `tests/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod sweep;
-pub mod workloads;
-
-use std::path::PathBuf;
-
-/// Where a report binary writes its JSON: the committed `BENCH_*.json` in
-/// the working directory for a full run, `target/bench-quick/` for a
-/// `--quick` smoke run, so a smoke run never overwrites the full-run
-/// figures.
-///
-/// # Panics
-///
-/// Panics if the `target/bench-quick/` directory cannot be created.
-#[must_use]
-pub fn report_path(file: &str, quick: bool) -> PathBuf {
-    if !quick {
-        return PathBuf::from(file);
-    }
-    let dir = PathBuf::from("target/bench-quick");
-    std::fs::create_dir_all(&dir).expect("create target/bench-quick");
-    dir.join(file)
-}
 
 pub use sweep::{
     count_fixed_roundtrip_failures, count_free_roundtrip_failures, count_naive_incorrect,

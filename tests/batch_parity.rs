@@ -2,14 +2,15 @@
 //!
 //! Every batch path — serial, sharded at several thread counts, and the
 //! per-value/serializer frontends — must reproduce [`fpp::print_shortest`]'s
-//! exact bytes over the Schryer hard cases, the special-value gallery
+//! exact bytes over the Schryer hard cases, a log-uniform column of
+//! essentially distinct values, the special-value gallery
 //! (signed zeros, subnormals, infinities, NaN), duplicate-heavy columns, and
 //! the inputs the earlier Grisu tier rejected. Buffer-reuse stability is
 //! asserted here too; the steady-state *zero-allocation* proof lives with the
 //! counting global allocator in `tests/alloc_count.rs`.
 
 use fpp::batch::{BatchFormatter, BatchOptions, BatchOutput};
-use fpp::testgen::{special_values, SchryerSet};
+use fpp::testgen::{log_uniform_doubles, special_values, SchryerSet};
 use fpp::{print_shortest, FreeFormat};
 
 /// Schryer workload, subsampled so the debug-profile run stays quick while
@@ -21,6 +22,17 @@ fn schryer_workload() -> Vec<f64> {
         .into_iter()
         .step_by(step)
         .collect()
+}
+
+/// Log-uniform doubles, essentially all distinct: the raw-conversion
+/// column shape, sized like [`schryer_workload`].
+fn log_uniform_workload() -> Vec<f64> {
+    let n = if cfg!(debug_assertions) {
+        8_000
+    } else {
+        60_000
+    };
+    log_uniform_doubles(42).take(n).collect()
 }
 
 /// Special values plus their negations: signed zeros, subnormal boundary
@@ -52,34 +64,44 @@ fn assert_parity(values: &[f64], out: &BatchOutput, label: &str) {
     }
 }
 
+/// Serial batch output equals `print_shortest` on the Schryer slice and
+/// on a log-uniform column.
 #[test]
 fn serial_batch_matches_print_shortest_on_schryer() {
-    let values = schryer_workload();
     let mut fmt = BatchFormatter::new();
     let mut out = BatchOutput::new();
-    fmt.format_f64s(&values, &mut out);
-    assert_parity(&values, &out, "serial");
+    for (label, values) in [
+        ("serial schryer", schryer_workload()),
+        ("serial log-uniform", log_uniform_workload()),
+    ] {
+        fmt.format_f64s(&values, &mut out);
+        assert_parity(&values, &out, label);
+    }
 }
 
 #[test]
 fn sharded_batch_matches_serial_at_any_thread_count() {
-    let values = schryer_workload();
-    let mut serial = BatchOutput::new();
-    BatchFormatter::new().format_f64s(&values, &mut serial);
-    for threads in [1, 2, 3, 7] {
-        let mut fmt = sharded_formatter(threads);
-        let mut out = BatchOutput::new();
-        fmt.format_f64s_sharded(&values, &mut out);
-        assert_eq!(
-            serial.arena(),
-            out.arena(),
-            "sharded({threads}) arena differs from serial"
-        );
-        assert_eq!(
-            serial.offsets(),
-            out.offsets(),
-            "sharded({threads}) offsets"
-        );
+    for (label, values) in [
+        ("schryer", schryer_workload()),
+        ("log-uniform", log_uniform_workload()),
+    ] {
+        let mut serial = BatchOutput::new();
+        BatchFormatter::new().format_f64s(&values, &mut serial);
+        for threads in [1, 2, 3, 7] {
+            let mut fmt = sharded_formatter(threads);
+            let mut out = BatchOutput::new();
+            fmt.format_f64s_sharded(&values, &mut out);
+            assert_eq!(
+                serial.arena(),
+                out.arena(),
+                "{label}: sharded({threads}) arena differs from serial"
+            );
+            assert_eq!(
+                serial.offsets(),
+                out.offsets(),
+                "{label}: sharded({threads}) offsets"
+            );
+        }
     }
 }
 

@@ -219,15 +219,19 @@ fn nearest_rounding_modes_parity() {
 }
 
 /// The fast tier never rejects: `try_write_fast` answers every finite
-/// value under every eligible configuration.
+/// value under every eligible configuration, on the strata, a log-uniform
+/// sample and a Schryer slice (every 32nd value in debug, every 4th in
+/// release).
 #[test]
 fn fast_tier_answers_every_finite_value() {
     let mut ctx = DtoaContext::new(10);
     let mut buf = [0u8; BUF];
     let strata = stratified_f64s();
+    let step = if cfg!(debug_assertions) { 32 } else { 4 };
+    let schryer: Vec<f64> = SchryerSet::new().iter().step_by(step).collect();
     for fast in eligible_configurations() {
         let samples = log_uniform_doubles(0xACC).take(2_000);
-        for v in strata.iter().copied().chain(samples) {
+        for v in strata.iter().chain(&schryer).copied().chain(samples) {
             let mut sink = SliceSink::new(&mut buf);
             assert!(
                 fast.try_write_fast(&mut ctx, &mut sink, v),

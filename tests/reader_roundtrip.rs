@@ -12,7 +12,7 @@
 
 use fpp::core::{write_shortest, write_shortest_f32, DtoaContext, SliceSink};
 use fpp::reader::{read_f32, read_f32_fast, read_f64, read_f64_exact, read_f64_fast};
-use fpp::testgen::{log_uniform_doubles, special_values, uniform_bit_doubles};
+use fpp::testgen::{log_uniform_doubles, special_values, uniform_bit_doubles, SchryerSet};
 
 /// Sampled f64 sweep: shortest-printed text must round-trip bit-identically
 /// through the tiered reader, the fast tiers alone, and the exact-only
@@ -61,8 +61,9 @@ fn sampled_f64_shortest_output_round_trips_through_every_tier() {
     );
 }
 
-/// Special values and the subnormal fringe, where the fast tiers hand off:
-/// every tier that answers must answer identically.
+/// Special values, the subnormal fringe and the paper's Schryer hard
+/// cases (boundary-heavy mantissas at every exponent), where the fast tiers
+/// hand off: every tier that answers must answer identically.
 #[test]
 fn boundary_f64_values_round_trip_through_every_tier() {
     let mut pool: Vec<f64> = special_values()
@@ -77,6 +78,10 @@ fn boundary_f64_values_round_trip_through_every_tier() {
     {
         pool.push(f64::from_bits(bits));
     }
+    // A Schryer slice: every 32nd value under debug builds, every 4th in
+    // release.
+    let step = if cfg!(debug_assertions) { 32 } else { 4 };
+    pool.extend(SchryerSet::new().iter().step_by(step));
     let mut ctx = DtoaContext::new(10);
     let mut buf = [0u8; 32];
     for v in pool {

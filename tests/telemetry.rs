@@ -13,6 +13,7 @@ use fpp::core::{free_format_digits, DtoaContext, FreeFormat, ScalingStrategy, Ti
 use fpp::float::{RoundingMode, SoftFloat};
 use fpp::telemetry::{self, Counter, TelemetrySnapshot, DIGIT_LEN_BUCKETS};
 use fpp::testgen::log_uniform_doubles;
+use fpp::testgen::prng::Xoshiro256pp;
 
 /// Offline digit-length recount over distinct values of the workload.
 fn offline_hist(values: &[f64]) -> [u64; DIGIT_LEN_BUCKETS] {
@@ -66,8 +67,14 @@ fn assert_prometheus_parses(text: &str) {
 fn live_counters_agree_with_offline_recount() {
     // This target only exists with --features telemetry (Cargo.toml gates it).
     const { assert!(telemetry::ENABLED) };
-    let n = 20_000;
-    let values: Vec<f64> = log_uniform_doubles(0xBEEF).take(n).collect();
+    let mut values: Vec<f64> = log_uniform_doubles(0xBEEF).take(20_000).collect();
+    // A duplicate-heavy tail: 10,000 draws from 200 of the values above, the
+    // sensor-dump column shape. The recount converts each distinct value
+    // once and weights it by its occurrences, so repeats must be counted.
+    let pool = values[..200].to_vec();
+    let mut rng = Xoshiro256pp::seed_from_u64(7);
+    values.extend((0..10_000).map(|_| pool[rng.range_inclusive(0, 199) as usize]));
+    let n = values.len();
 
     // Contexts and formatters warm up real conversions at construction —
     // build them all before resetting the counters. Pass 1 pins the exact
@@ -173,6 +180,16 @@ fn live_counters_agree_with_offline_recount() {
         "shard lengths sum to the input length"
     );
     assert!(snap.get(Counter::BatchStitchBytes) > 0);
+    assert_eq!(
+        snap.get(Counter::CoreFastPathHits),
+        column.len() as u64,
+        "every sharded value is printed by the fast tier"
+    );
+    assert_eq!(
+        snap.get(Counter::CoreConversions),
+        0,
+        "the exact engine never runs on the sharded path"
+    );
     assert_eq!(
         snap.shard_len_log2.iter().sum::<u64>(),
         snap.get(Counter::BatchShardsRun),
