@@ -63,11 +63,18 @@ cargo test --release -q --test alloc_count
 
 echo "== repository benchmark: traced smoke on the gated workloads (release) =="
 # The ledger (ledger/, its own package outside the workspace) checks every
-# value against a std-only oracle and exits non-zero on any failure. Its
-# records land in target/ledger/smoke-*.json.
+# value against a std-only oracle and reports the verdict as "correct" in the
+# JSON on its last stdout line; a traced run still exits 0 on a wrong value,
+# so the step fails unless that line reads "correct":true. Its records land
+# in target/ledger/smoke-*.json.
 for w in shortest_uniform decimal_telemetry; do
-  cargo run --quiet --offline --release --manifest-path ledger/Cargo.toml -- \
-    --workload "$w" --smoke --seconds 2 --trace 1
+  out=$(cargo run --quiet --offline --release --manifest-path ledger/Cargo.toml -- \
+    --workload "$w" --smoke --seconds 2 --trace 1)
+  printf '%s\n' "$out"
+  tail -n 1 <<<"$out" | grep -q '"correct":true' || {
+    echo "ledger oracle failed on $w"
+    exit 1
+  }
 done
 
 echo "CI OK"

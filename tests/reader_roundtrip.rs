@@ -10,8 +10,9 @@
 //! cargo test --release --test reader_roundtrip -- --ignored
 //! ```
 
+use fpp::batch::{BatchFormatter, BatchOutput};
 use fpp::core::{write_shortest, write_shortest_f32, DtoaContext, SliceSink};
-use fpp::reader::{read_f32, read_f32_fast, read_f64, read_f64_exact, read_f64_fast};
+use fpp::reader::{read_f32, read_f32_fast, read_f64, read_f64_exact, read_f64_fast, BatchParser};
 use fpp::testgen::{log_uniform_doubles, special_values, uniform_bit_doubles, SchryerSet};
 
 /// Sampled f64 sweep: shortest-printed text must round-trip bit-identically
@@ -63,7 +64,8 @@ fn sampled_f64_shortest_output_round_trips_through_every_tier() {
 
 /// Special values, the subnormal fringe and the paper's Schryer hard
 /// cases (boundary-heavy mantissas at every exponent), where the fast tiers
-/// hand off: every tier that answers must answer identically.
+/// hand off: every tier that answers must answer identically, and so must
+/// the batch reader over the same column printed into one arena.
 #[test]
 fn boundary_f64_values_round_trip_through_every_tier() {
     let mut pool: Vec<f64> = special_values()
@@ -82,21 +84,37 @@ fn boundary_f64_values_round_trip_through_every_tier() {
     // release.
     let step = if cfg!(debug_assertions) { 32 } else { 4 };
     pool.extend(SchryerSet::new().iter().step_by(step));
+    let values: Vec<f64> = pool.iter().flat_map(|&v| [v, -v]).collect();
     let mut ctx = DtoaContext::new(10);
     let mut buf = [0u8; 32];
-    for v in pool {
-        for v in [v, -v] {
-            let mut sink = SliceSink::new(&mut buf);
-            write_shortest(&mut ctx, &mut sink, v);
-            let s = sink.as_str();
-            let tiered = read_f64(s).expect("printed text parses");
-            assert_eq!(tiered.to_bits(), v.to_bits(), "tiered reader broke {s:?}");
-            let exact = read_f64_exact(s).expect("printed text parses");
-            assert_eq!(exact.to_bits(), v.to_bits(), "exact reader broke {s:?}");
-            if let Some(fast) = read_f64_fast(s) {
-                assert_eq!(fast.to_bits(), v.to_bits(), "fast tier broke {s:?}");
-            }
+    for &v in &values {
+        let mut sink = SliceSink::new(&mut buf);
+        write_shortest(&mut ctx, &mut sink, v);
+        let s = sink.as_str();
+        let tiered = read_f64(s).expect("printed text parses");
+        assert_eq!(tiered.to_bits(), v.to_bits(), "tiered reader broke {s:?}");
+        let exact = read_f64_exact(s).expect("printed text parses");
+        assert_eq!(exact.to_bits(), v.to_bits(), "exact reader broke {s:?}");
+        if let Some(fast) = read_f64_fast(s) {
+            assert_eq!(fast.to_bits(), v.to_bits(), "fast tier broke {s:?}");
         }
+    }
+
+    // The same column printed once into a batch arena and read back through
+    // the byte entry, `BatchParser::parse_offsets`.
+    let mut out = BatchOutput::new();
+    BatchFormatter::new().format_f64s(&values, &mut out);
+    let mut parsed = Vec::new();
+    BatchParser::new()
+        .parse_offsets(out.arena(), out.offsets(), &mut parsed)
+        .expect("printed arena parses");
+    assert_eq!(parsed.len(), values.len());
+    for (i, (back, v)) in parsed.iter().zip(&values).enumerate() {
+        assert_eq!(
+            back.to_bits(),
+            v.to_bits(),
+            "parse_offsets broke entry {i} ({v:e})"
+        );
     }
 }
 
